@@ -20,7 +20,9 @@
 // Each row also reports sim-days/hour and the projected wall-clock for one
 // simulated year, which is how the flagship config's "a year of 100k cells
 // is an overnight run, not a cluster job" claim is tracked (see
-// EXPERIMENTS.md).
+// EXPERIMENTS.md). After the timed days each row writes one sectioned
+// checkpoint (save_shard_sections) and reports its size per node, which
+// tools/perf_gate.py bounds.
 //
 // Methodology matches kernel_bench: only Datacenter::run_day is timed (one
 // segment per simulated day, min-over-days rejects background noise), the
@@ -34,10 +36,13 @@
 //   --out     JSON output path (default: BENCH_datacenter.json in the cwd).
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <new>
@@ -46,6 +51,7 @@
 
 #include "sim/datacenter.hpp"
 #include "sim/scenario.hpp"
+#include "snapshot/sections.hpp"
 #include "util/logging.hpp"
 #include "util/sim_clock.hpp"
 #include "workload/demand.hpp"
@@ -54,15 +60,23 @@ namespace {
 
 // Allocation counter (see kernel_bench.cpp). The day pipeline legitimately
 // allocates — per-day result vectors, trace strings — so the number is
-// reported per node-tick for trend-watching rather than gated at zero.
-std::size_t g_allocs = 0;
+// reported per node-tick and gated against creep rather than at zero. Shard
+// workers allocate concurrently, so the counter is atomic; relaxed is enough
+// because it is only read after run_day has joined the workers.
+std::atomic<std::uint64_t> g_allocs{0};
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
+}
+// std::stable_sort's temporary buffer comes from the nothrow form; replace
+// it too so every allocation is counted and freed by the matching malloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -112,8 +126,26 @@ struct BenchResult {
   double sim_days_per_hour = 0.0;
   double year_projection_s = 0.0;  ///< projected wall-clock for 365 days
   double allocs_per_node_tick = 0.0;
+  double checkpoint_bytes_per_node = 0.0;  ///< sectioned checkpoint size / nodes
   double health_sink = 0.0;  ///< min health after the run — result checksum
 };
+
+/// Size of the per-shard checkpoint sections save_shard_sections writes for
+/// `dc`, in bytes. The file goes to the system temp directory and is
+/// removed again; only its size is kept.
+double checkpoint_bytes(const sim::Datacenter& dc, const char* name) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      (std::string("datacenter_bench_") + name + ".ckpt");
+  {
+    snapshot::SectionFileWriter out(path.string(), 0, dc.shard_count());
+    dc.save_shard_sections(out);
+    out.commit();
+  }
+  const auto bytes = static_cast<double>(std::filesystem::file_size(path));
+  std::filesystem::remove(path);
+  return bytes;
+}
 
 /// Times `days` calls of Datacenter::run_day (alternating weather so the
 /// solar and demand paths both stay hot) and reports the per-day minimum —
@@ -146,7 +178,7 @@ BenchResult bench_datacenter(const char* name, std::size_t shards,
 
   for (long d = 0; d < warmup_days; ++d) (void)dc.run_day(weather_for(d));
 
-  const std::size_t allocs0 = g_allocs;
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   double best_day_ns = std::numeric_limits<double>::infinity();
   double total_ns = 0.0;
   double min_health = 1.0;
@@ -159,7 +191,7 @@ BenchResult bench_datacenter(const char* name, std::size_t shards,
     total_ns += day_ns;
     for (const sim::NodeDayStats& n : r.nodes) min_health = std::min(min_health, n.health);
   }
-  const std::size_t allocs = g_allocs - allocs0;
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
   util::set_sim_time(-1.0);
 
   BenchResult r;
@@ -174,6 +206,8 @@ BenchResult bench_datacenter(const char* name, std::size_t shards,
   r.allocs_per_node_tick =
       static_cast<double>(allocs) /
       (node_ticks_per_day * static_cast<double>(days));
+  r.checkpoint_bytes_per_node =
+      checkpoint_bytes(dc, name) / static_cast<double>(dc.node_count());
   r.health_sink = min_health;
   return r;
 }
@@ -199,10 +233,12 @@ void write_json(const std::string& path, double calib,
                   "    {\"name\": \"%s\", \"shards\": %zu, \"nodes\": %zu, "
                   "\"workers\": %zu, \"days\": %ld, "
                   "\"ns_per_cell_tick\": %.3f, \"sim_days_per_hour\": %.1f, "
-                  "\"year_projection_s\": %.1f, \"allocs_per_tick\": %.4f}%s\n",
+                  "\"year_projection_s\": %.1f, \"allocs_per_tick\": %.4f, "
+                  "\"checkpoint_bytes_per_node\": %.1f}%s\n",
                   r.name.c_str(), r.shards, r.nodes, r.workers, r.days,
                   r.ns_per_node_tick, r.sim_days_per_hour, r.year_projection_s,
-                  r.allocs_per_node_tick, i + 1 < results.size() ? "," : "");
+                  r.allocs_per_node_tick, r.checkpoint_bytes_per_node,
+                  i + 1 < results.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";
@@ -256,10 +292,11 @@ int main(int argc, char** argv) {
   for (const BenchResult& r : results) {
     std::printf(
         "%-16s shards=%-3zu nodes=%-7zu workers=%zu  ns/node-tick=%8.2f  "
-        "sim-days/h=%8.1f  year=%7.0fs  allocs/node-tick=%.4f  (min health %.6f)\n",
+        "sim-days/h=%8.1f  year=%7.0fs  allocs/node-tick=%.4f  ckpt B/node=%.0f  "
+        "(min health %.6f)\n",
         r.name.c_str(), r.shards, r.nodes, r.workers, r.ns_per_node_tick,
         r.sim_days_per_hour, r.year_projection_s, r.allocs_per_node_tick,
-        r.health_sink);
+        r.checkpoint_bytes_per_node, r.health_sink);
   }
 
   write_json(out_path, calib, results);

@@ -30,7 +30,8 @@ Actions BaatHPolicy::on_control_tick(const PolicyContext& ctx) {
   // selection (§VI-B) — so the destination is drawn randomly from whatever
   // has capacity and SoC headroom, which is what makes it "random and low
   // efficiency" with "frequent VM stop and restart" overhead (§VI-F).
-  const std::vector<double> scores = node_scores(ctx, kNeutralWeights, params_.signals);
+  std::vector<double> scores;
+  node_scores(ctx, kNeutralWeights, params_.signals, scores);
   std::size_t worst = 0;
   std::size_t best = 0;
   for (std::size_t i = 1; i < scores.size(); ++i) {

@@ -37,14 +37,15 @@ Actions BaatPolicy::on_control_tick(const PolicyContext& ctx) {
   }
 
   Actions actions;
-  const std::vector<double> scores = node_scores(ctx, kNeutralWeights, params_.signals);
+  node_scores(ctx, kNeutralWeights, params_.signals, scores_);
 
   // Track capacity headroom consumed by migrations proposed this tick so we
   // never over-commit a target node.
-  std::vector<double> cores_free(ctx.nodes.size()), mem_free(ctx.nodes.size());
+  cores_free_.resize(ctx.nodes.size());
+  mem_free_.resize(ctx.nodes.size());
   for (const NodeView& n : ctx.nodes) {
-    cores_free[n.index] = n.cores_free;
-    mem_free[n.index] = n.mem_free_gb;
+    cores_free_[n.index] = n.cores_free;
+    mem_free_[n.index] = n.mem_free_gb;
   }
 
   for (const NodeView& n : ctx.nodes) {
@@ -61,21 +62,21 @@ Actions BaatPolicy::on_control_tick(const PolicyContext& ctx) {
             double best_score = std::numeric_limits<double>::infinity();
             for (const NodeView& other : ctx.nodes) {
               if (other.index == n.index || !other.powered_on) continue;
-              if (cores_free[other.index] < victim->cores ||
-                  mem_free[other.index] < victim->mem_gb) {
+              if (cores_free_[other.index] < victim->cores ||
+                  mem_free_[other.index] < victim->mem_gb) {
                 continue;
               }
               if (other.soc < effective_soc_trigger(other) + 0.10) continue;
-              if (scores[other.index] < best_score) {
-                best_score = scores[other.index];
+              if (scores_[other.index] < best_score) {
+                best_score = scores_[other.index];
                 best = other.index;
               }
             }
             if (best) {
               actions.migrations.push_back(
                   MigrationAction{victim->id, n.index, *best, "low_soc_hiding"});
-              cores_free[*best] -= victim->cores;
-              mem_free[*best] -= victim->mem_gb;
+              cores_free_[*best] -= victim->cores;
+              mem_free_[*best] -= victim->mem_gb;
               last_migration_[n.index] = ctx.now;
               migrated = true;
             }
@@ -100,9 +101,7 @@ Actions BaatPolicy::on_control_tick(const PolicyContext& ctx) {
   // spread across the fleet is large, move one VM from the worst node to the
   // healthiest one (at most one such move per control period).
   if (actions.migrations.empty()) {
-    if (const auto move =
-            propose_rebalance(ctx, kNeutralWeights, params_.signals,
-                              params_.rebalance_threshold)) {
+    if (const auto move = propose_rebalance(ctx, scores_, params_.rebalance_threshold)) {
       if ((ctx.now - last_migration_[move->from]).value() >= kMigrationCooldownS) {
         actions.migrations.push_back(*move);
         last_migration_[move->from] = ctx.now;
@@ -128,7 +127,7 @@ Actions BaatPolicy::on_control_tick(const PolicyContext& ctx) {
   std::iota(actions.charge_priority.begin(), actions.charge_priority.end(),
             std::size_t{0});
   std::stable_sort(actions.charge_priority.begin(), actions.charge_priority.end(),
-                   [&scores](std::size_t a, std::size_t b) { return scores[a] > scores[b]; });
+                   [this](std::size_t a, std::size_t b) { return scores_[a] > scores_[b]; });
 
   return actions;
 }

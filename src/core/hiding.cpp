@@ -4,16 +4,14 @@
 #include <cmath>
 #include <limits>
 
+#include "util/require.hpp"
+
 namespace baat::core {
 
-std::vector<double> node_scores(const PolicyContext& ctx, const AgingWeights& w,
-                                const AgingSignalParams& p) {
-  std::vector<double> scores;
-  scores.reserve(ctx.nodes.size());
-  for (const NodeView& n : ctx.nodes) {
-    scores.push_back(weighted_aging(n.metrics_life, w, p));
-  }
-  return scores;
+void node_scores(const PolicyContext& ctx, const AgingWeights& w, const AgingSignalParams& p,
+                 std::vector<double>& out) {
+  out.clear();
+  for (const NodeView& n : ctx.nodes) out.push_back(weighted_aging(n.metrics_life, w, p));
 }
 
 std::optional<std::size_t> select_placement(
@@ -42,11 +40,10 @@ std::optional<std::size_t> select_placement(
 }
 
 std::optional<MigrationAction> propose_rebalance(const PolicyContext& ctx,
-                                                 const AgingWeights& w,
-                                                 const AgingSignalParams& signals,
+                                                 std::span<const double> scores,
                                                  double threshold) {
+  BAAT_REQUIRE(scores.size() == ctx.nodes.size(), "rebalance needs one score per node");
   if (ctx.nodes.size() < 2) return std::nullopt;
-  const std::vector<double> scores = node_scores(ctx, w, signals);
 
   // Worst node that actually has something migratable.
   std::optional<std::size_t> worst;

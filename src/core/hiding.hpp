@@ -5,15 +5,18 @@
 // when the spread across the fleet grows, migrate work off the worst node.
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "core/weighted_aging.hpp"
 
 namespace baat::core {
 
-/// Weighted aging of every node for a given demand class.
-std::vector<double> node_scores(const PolicyContext& ctx, const AgingWeights& w,
-                                const AgingSignalParams& p);
+/// Weighted aging of every node for a given demand class, written into
+/// `out` (indexed by node; its capacity is reused across calls).
+void node_scores(const PolicyContext& ctx, const AgingWeights& w, const AgingSignalParams& p,
+                 std::vector<double>& out);
 
 /// Fig 8 placement: among powered-on nodes with room for (cores, mem),
 /// the one with the smallest weighted aging for this demand's class.
@@ -24,10 +27,10 @@ std::optional<std::size_t> select_placement(
 
 /// Consolidation-time rebalance: if the weighted-aging spread between the
 /// worst and best node exceeds `threshold`, propose moving one migratable
-/// VM from the worst node to the best node that can host it.
+/// VM from the worst node to the best node that can host it. `scores` are
+/// the nodes' weighted aging, as node_scores() writes them.
 std::optional<MigrationAction> propose_rebalance(const PolicyContext& ctx,
-                                                 const AgingWeights& w,
-                                                 const AgingSignalParams& signals,
+                                                 std::span<const double> scores,
                                                  double threshold);
 
 }  // namespace baat::core

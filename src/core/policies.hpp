@@ -90,6 +90,10 @@ class BaatPolicy final : public AgingPolicy {
   PolicyParams params_;
   bool planned_;
   std::vector<Seconds> last_migration_;
+  // Per-tick scratch, reused so a control tick does not allocate.
+  std::vector<double> scores_;
+  std::vector<double> cores_free_;
+  std::vector<double> mem_free_;
 };
 
 /// Predictive BAAT — an extension beyond the paper (its "proactive"

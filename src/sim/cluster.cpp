@@ -77,6 +77,11 @@ Cluster::Cluster(ScenarioConfig cfg) : cfg_(std::move(cfg)), rng_(cfg_.seed) {
   obs_.migrations = &reg.counter("sim.migrations");
   obs_.dvfs_transitions = &reg.counter("sim.dvfs_transitions");
   obs_.days_run = &reg.counter("sim.days_run");
+  obs_.control_ticks = &reg.counter("policy.control_ticks");
+  obs_.decided_migrations = &reg.counter("policy.decisions", "migration");
+  obs_.decided_dvfs = &reg.counter("policy.decisions", "dvfs");
+  obs_.decided_charge_priority = &reg.counter("policy.decisions", "charge_priority");
+  obs_.decided_discharge_floor = &reg.counter("policy.decisions", "discharge_floor");
   for (std::size_t i = 0; i < cfg_.nodes; ++i) {
     // Label by *global* node index: per-shard registries are merged into
     // one export, and shard-local labels would alias every shard's node 0
@@ -211,15 +216,21 @@ telemetry::AgingMetrics Cluster::life_metrics(std::size_t node) const {
 }
 
 Cluster::VmRecord* Cluster::find_vm(workload::VmId id) {
-  const auto it = std::find_if(vms_.begin(), vms_.end(),
-                               [id](const VmRecord& r) { return r.vm.id() == id; });
-  return it == vms_.end() ? nullptr : &*it;
+  // vms_ is append-only within a day and ids are handed out in order, so a
+  // VM's index is its id's offset from the day's first one.
+  if (vms_.empty() || id < vms_.front().vm.id()) return nullptr;
+  const auto index = static_cast<std::size_t>(id - vms_.front().vm.id());
+  if (index >= vms_.size()) return nullptr;
+  BAAT_INVARIANT(vms_[index].vm.id() == id, "VM registry out of id order");
+  return &vms_[index];
 }
 
-core::PolicyContext Cluster::build_context(util::Seconds now,
-                                           const power::RouteResult* last_route,
-                                           util::Watts solar_now) {
-  core::PolicyContext ctx;
+const core::PolicyContext& Cluster::build_context(util::Seconds now,
+                                                  const power::RouteResult* last_route,
+                                                  util::Watts solar_now) {
+  // Refilled in place: every NodeView field is rewritten and each VM list
+  // keeps its capacity, so a steady-state context allocates nothing.
+  core::PolicyContext& ctx = ctx_;
   ctx.now = now;
   ctx.time_of_day = util::Seconds{std::fmod(now.value(), 86400.0)};
   ctx.solar_now = solar_now;
@@ -237,8 +248,7 @@ core::PolicyContext Cluster::build_context(util::Seconds now,
     if (guard_.enabled()) {
       // Staleness is judged by the newest sensor sample behind the estimate
       // (stuck/stale injections deliver old timestamps, so it lags).
-      const auto& hist = life_tables_[i].history();
-      const util::Seconds reading_time = hist.empty() ? now : hist.back().time;
+      const util::Seconds reading_time = life_tables_[i].last_reading_time().value_or(now);
       n.soc = guard_.filter_soc(i, n.soc, reading_time, now);
     }
     n.metrics = telemetry::compute_metrics(day_tables_[i], cfg_.metrics);
@@ -248,9 +258,8 @@ core::PolicyContext Cluster::build_context(util::Seconds now,
     n.dvfs_level = servers_[i].dvfs_level();
     n.dvfs_top = servers_[i].spec().dvfs.top();
     n.server_power = servers_[i].power_now();
-    if (last_route != nullptr) {
-      n.battery_draw = last_route->nodes[i].battery_delivered;
-    }
+    n.battery_draw =
+        last_route != nullptr ? last_route->nodes[i].battery_delivered : util::Watts{0.0};
     if (injector_ != nullptr) {
       // Per-node meter glitches corrupt what the controller *reads*, never
       // what physically flowed.
@@ -270,17 +279,17 @@ core::PolicyContext Cluster::build_context(util::Seconds now,
         util::Watts{bat.chemistry().nominal_voltage().value() * i_sus *
                     cfg_.router.inverter_efficiency};
 
+    n.vms.clear();
     for (const server::HostedVm& h : servers_[i].hosted()) {
-      const auto it = std::find_if(vms_.begin(), vms_.end(),
-                                   [&h](const VmRecord& r) { return r.vm.id() == h.vm; });
-      BAAT_INVARIANT(it != vms_.end(), "hosted VM missing from registry");
+      const VmRecord* rec = find_vm(h.vm);
+      BAAT_INVARIANT(rec != nullptr, "hosted VM missing from registry");
       core::VmView view;
       view.id = h.vm;
-      view.kind = it->vm.kind();
+      view.kind = rec->vm.kind();
       view.cores = h.cores;
       view.mem_gb = h.mem_gb;
-      view.migratable = it->vm.migratable();
-      view.demand = core::profile_for(it->vm.spec(), cfg_.server);
+      view.migratable = rec->vm.migratable();
+      view.demand = core::profile_for(rec->vm.spec(), cfg_.server);
       n.vms.push_back(view);
     }
   }
@@ -289,7 +298,7 @@ core::PolicyContext Cluster::build_context(util::Seconds now,
 
 bool Cluster::deploy_job(const JobSpec& job) {
   const workload::Spec spec = workload::spec_for(job.kind);
-  const core::PolicyContext ctx = build_context(
+  const core::PolicyContext& ctx = build_context(
       util::Seconds{static_cast<double>(day_counter_) * 86400.0 + job.arrival.value() +
                     cfg_.day_start.value()},
       nullptr);
@@ -307,6 +316,14 @@ bool Cluster::deploy_job(const JobSpec& job) {
 }
 
 void Cluster::apply_actions(const core::Actions& actions, DayResult& result) {
+  obs_.control_ticks->inc();
+  if (!actions.migrations.empty()) {
+    obs_.decided_migrations->inc(static_cast<double>(actions.migrations.size()));
+  }
+  if (!actions.dvfs.empty()) obs_.decided_dvfs->inc(static_cast<double>(actions.dvfs.size()));
+  if (!actions.charge_priority.empty()) obs_.decided_charge_priority->inc();
+  if (!actions.discharge_floor_soc.empty()) obs_.decided_discharge_floor->inc();
+
   for (const core::DvfsAction& a : actions.dvfs) {
     if (a.node >= servers_.size()) continue;
     if (a.level < 0 || a.level >= servers_[a.node].spec().dvfs.levels()) continue;
@@ -339,14 +356,14 @@ void Cluster::apply_actions(const core::Actions& actions, DayResult& result) {
 
   if (actions.charge_priority.size() == cfg_.nodes) {
     // Accept only a valid permutation.
-    std::vector<bool> seen(cfg_.nodes, false);
+    seen_.assign(cfg_.nodes, false);
     bool ok = true;
     for (std::size_t i : actions.charge_priority) {
-      if (i >= cfg_.nodes || seen[i]) {
+      if (i >= cfg_.nodes || seen_[i]) {
         ok = false;
         break;
       }
-      seen[i] = true;
+      seen_[i] = true;
     }
     if (ok) {
       if (!charge_priority_explicit_ || charge_priority_ != actions.charge_priority) {
@@ -401,14 +418,10 @@ DayResult Cluster::run_day(const solar::SolarDay& day) {
 
   // Fresh per-day power tables: "the logs contain ... aging metrics
   // information of six battery nodes" recorded per experiment day (§VI-B).
-  telemetry::PowerTableParams table_params;
-  table_params.chemistry = cfg_.bank.chemistry;
-  table_params.ocv_curve = cfg_.bank.ocv;
-  table_params.estimation = cfg_.soc_estimation;
-  day_tables_.assign(cfg_.nodes, telemetry::PowerTable{table_params});
+  for (telemetry::PowerTable& t : day_tables_) t = telemetry::PowerTable{t.params()};
 
-  std::vector<double> soc_min(cfg_.nodes, 1.0);
-  for (std::size_t i = 0; i < cfg_.nodes; ++i) soc_min[i] = batteries_[i].soc();
+  soc_min_.resize(cfg_.nodes);
+  for (std::size_t i = 0; i < cfg_.nodes; ++i) soc_min_[i] = batteries_[i].soc();
 
   std::size_t next_job = 0;
   const double dt = cfg_.dt.value();
@@ -476,10 +489,9 @@ DayResult Cluster::run_day(const solar::SolarDay& day) {
       // --- control tick -------------------------------------------------------
       if (tod >= next_control) {
         next_control += cfg_.control_period.value();
-        const core::PolicyContext ctx =
+        const core::PolicyContext& ctx =
             build_context(now, k > 0 ? &last_route : nullptr, solar_now);
         const core::Actions actions = policy_->on_control_tick(ctx);
-        core::record_actions(actions);
         apply_actions(actions, result);
       }
     }
@@ -566,7 +578,7 @@ DayResult Cluster::run_day(const solar::SolarDay& day) {
     result.meter.add(last_route, cfg_.dt);
     for (std::size_t i = 0; i < cfg_.nodes; ++i) {
       const double soc = batteries_[i].soc();
-      soc_min[i] = std::min(soc_min[i], soc);
+      soc_min_[i] = std::min(soc_min_[i], soc);
       result.soc_histogram.add(soc * 100.0, dt);
       if (soc < 0.40) {
         result.nodes[i].low_soc_time += cfg_.dt;
@@ -603,7 +615,7 @@ DayResult Cluster::run_day(const solar::SolarDay& day) {
     NodeDayStats& n = result.nodes[i];
     n.metrics_day = telemetry::compute_metrics(day_tables_[i], cfg_.metrics);
     n.metrics_life = telemetry::compute_metrics(life_tables_[i], cfg_.metrics);
-    n.soc_min = soc_min[i];
+    n.soc_min = soc_min_[i];
     n.soc_end = batteries_[i].soc();
     n.health = batteries_[i].health();
     n.ah_discharged = day_tables_[i].ah_discharged();

@@ -115,10 +115,11 @@ class Cluster {
   /// (the caller queues it for retry — a batch queue, not a silent drop).
   bool deploy_job(const JobSpec& job);
   /// Non-const: the telemetry guard advances its per-node acceptance state
-  /// while filtering SoC estimates for the controller's view.
-  core::PolicyContext build_context(util::Seconds now,
-                                    const power::RouteResult* last_route,
-                                    util::Watts solar_now = util::Watts{0.0});
+  /// while filtering SoC estimates for the controller's view. Refills and
+  /// returns ctx_, valid until the next call.
+  const core::PolicyContext& build_context(util::Seconds now,
+                                           const power::RouteResult* last_route,
+                                           util::Watts solar_now = util::Watts{0.0});
   void apply_actions(const core::Actions& actions, DayResult& result);
   VmRecord* find_vm(workload::VmId id);
 
@@ -150,6 +151,9 @@ class Cluster {
   /// Reused per-tick buffers (run_day performs no per-tick allocation).
   std::vector<util::Watts> demands_;
   power::RouterScratch router_scratch_;
+  core::PolicyContext ctx_;      ///< the controller's view, see build_context
+  std::vector<bool> seen_;       ///< charge-priority permutation check
+  std::vector<double> soc_min_;  ///< per-node daily SoC minimum
 
   // --- observability ---------------------------------------------------------
   // Handles into obs::global_registry(), resolved once in the constructor
@@ -165,6 +169,12 @@ class Cluster {
     obs::Counter* migrations = nullptr;
     obs::Counter* dvfs_transitions = nullptr;
     obs::Counter* days_run = nullptr;
+    // What the policy asked for, before apply_actions filters it.
+    obs::Counter* control_ticks = nullptr;
+    obs::Counter* decided_migrations = nullptr;
+    obs::Counter* decided_dvfs = nullptr;
+    obs::Counter* decided_charge_priority = nullptr;
+    obs::Counter* decided_discharge_floor = nullptr;
     std::vector<obs::Gauge*> node_soc;
     std::vector<obs::Gauge*> node_health;
   };

@@ -36,7 +36,8 @@
 
 namespace baat::snapshot {
 
-inline constexpr std::uint32_t kSectionFormatVersion = 1;
+/// Bump whenever a section payload layout changes (as for kFormatVersion).
+inline constexpr std::uint32_t kSectionFormatVersion = 2;  // v2: power tables keep only the last reading time
 
 /// Parsed "BAATSECT" file header.
 struct SectionFileHeader {

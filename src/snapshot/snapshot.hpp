@@ -30,7 +30,7 @@ namespace baat::snapshot {
 
 /// Bump whenever the payload layout changes; old files are refused with a
 /// readable error rather than misinterpreted.
-inline constexpr std::uint32_t kFormatVersion = 2;  // v2: fleet aging-attribution ledger state
+inline constexpr std::uint32_t kFormatVersion = 3;  // v3: power tables keep only the last reading time
 
 /// The parsed container header (everything before the payload).
 struct SnapshotHeader {

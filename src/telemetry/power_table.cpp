@@ -65,8 +65,7 @@ void PowerTable::record(const SensorReading& reading, Seconds dt) {
   const double discharge = std::max(0.0, i);
   dr_ewma_ += alpha * (discharge - dr_ewma_);
 
-  history_.push_back(reading);
-  while (history_.size() > params_.history_depth) history_.pop_front();
+  last_reading_time_ = reading.time;
 }
 
 AmpereHours PowerTable::ah_in_range(std::size_t range) const {
@@ -82,9 +81,8 @@ void PowerTable::save_state(snapshot::SnapshotWriter& w) const {
   w.write_f64(time_below_40_.value());
   w.write_f64(dr_ewma_);
   w.write_f64(soc_estimate_);
-  w.write_u64(history_.size());
-  // Qualified: the member function would otherwise hide the free helper.
-  for (const SensorReading& s : history_) telemetry::save_state(w, s);
+  w.write_bool(last_reading_time_.has_value());
+  if (last_reading_time_) w.write_f64(last_reading_time_->value());
 }
 
 void PowerTable::load_state(snapshot::SnapshotReader& r) {
@@ -95,13 +93,8 @@ void PowerTable::load_state(snapshot::SnapshotReader& r) {
   time_below_40_ = Seconds{r.read_f64()};
   dr_ewma_ = r.read_f64();
   soc_estimate_ = r.read_f64();
-  const auto n = r.read_u64();
-  history_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    SensorReading s;
-    telemetry::load_state(r, s);
-    history_.push_back(s);
-  }
+  last_reading_time_.reset();
+  if (r.read_bool()) last_reading_time_ = Seconds{r.read_f64()};
 }
 
 }  // namespace baat::telemetry

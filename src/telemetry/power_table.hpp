@@ -1,12 +1,12 @@
 #pragma once
 
-// The per-battery "power table" (Table 2, Fig 7): the utilization history
-// log the BAAT controller derives all five aging metrics from. Everything
+// The per-battery "power table" (Table 2, Fig 7): the running accumulators
+// the BAAT controller derives all five aging metrics from. Everything
 // here is computed from *sensor readings only* — SoC is estimated from the
 // measured voltage and current the way the prototype's control server does,
 // never read from the battery's internal state.
 
-#include <deque>
+#include <optional>
 
 #include "battery/chemistry.hpp"
 #include "telemetry/sensor.hpp"
@@ -36,15 +36,13 @@ struct PowerTableParams {
   SocEstimation estimation = SocEstimation::RestAnchoredCoulomb;
   /// Exponential window for the discharge-rate metric (DR, §III-E).
   Seconds dr_window{util::minutes(10.0)};
-  /// Ring-buffer depth of raw samples kept for inspection/debugging.
-  std::size_t history_depth = 1024;
 };
 
 class PowerTable {
  public:
   explicit PowerTable(PowerTableParams params);
 
-  /// Fold one sensor reading covering `dt` into the log.
+  /// Fold one sensor reading covering `dt` into the accumulators.
   void record(const SensorReading& reading, Seconds dt);
 
   // --- accumulators the metric engine consumes (Eq 1–5 numerators) ---------
@@ -60,11 +58,15 @@ class PowerTable {
   /// SoC estimated from the latest reading (voltage + I·R correction).
   [[nodiscard]] double estimated_soc() const { return soc_estimate_; }
 
-  [[nodiscard]] const std::deque<SensorReading>& history() const { return history_; }
+  /// Timestamp of the newest reading folded in (empty before the first).
+  /// Stuck/stale sensors deliver old timestamps, so this can lag the clock
+  /// — the staleness signal the telemetry guard reads.
+  [[nodiscard]] std::optional<Seconds> last_reading_time() const { return last_reading_time_; }
   [[nodiscard]] const PowerTableParams& params() const { return params_; }
 
-  /// Checkpoint support: accumulators, the EWMA/SoC estimate and the raw
-  /// sample ring. Params are configuration and are rebuilt by the scenario.
+  /// Checkpoint support: accumulators, the EWMA/SoC estimate and the last
+  /// reading's timestamp. Params are configuration and are rebuilt by the
+  /// scenario.
   void save_state(snapshot::SnapshotWriter& w) const;
   void load_state(snapshot::SnapshotReader& r);
 
@@ -78,7 +80,7 @@ class PowerTable {
   Seconds time_below_40_{0.0};
   double dr_ewma_ = 0.0;
   double soc_estimate_ = 1.0;
-  std::deque<SensorReading> history_;
+  std::optional<Seconds> last_reading_time_;
 };
 
 }  // namespace baat::telemetry

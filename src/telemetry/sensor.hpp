@@ -26,8 +26,8 @@ struct SensorReading {
   Celsius temperature{0.0};
 };
 
-/// Checkpoint helpers shared by everything that retains readings (the power
-/// table's history ring, the fault injector's stuck/last slots).
+/// Checkpoint helpers for everything that retains readings (the fault
+/// injector's stuck/last slots).
 inline void save_state(snapshot::SnapshotWriter& w, const SensorReading& s) {
   w.write_f64(s.time.value());
   w.write_f64(s.voltage.value());

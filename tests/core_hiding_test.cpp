@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hiding.hpp"
+#include "util/require.hpp"
 
 namespace baat::core {
 namespace {
@@ -45,6 +46,12 @@ PolicyContext three_node_ctx() {
   return ctx;
 }
 
+std::vector<double> scores_of(const PolicyContext& ctx, const AgingWeights& w) {
+  std::vector<double> scores;
+  node_scores(ctx, w, {}, scores);
+  return scores;
+}
+
 TEST(Hiding, PlacementPicksHealthiestNode) {
   const PolicyContext ctx = three_node_ctx();
   const auto pick =
@@ -82,7 +89,8 @@ TEST(Hiding, NoFeasibleNodeReturnsNullopt) {
 TEST(Hiding, NodeScoresOrderMatchesHealth) {
   const PolicyContext ctx = three_node_ctx();
   const AgingWeights w{1.0 / 3, 1.0 / 3, 1.0 / 3};
-  const auto scores = node_scores(ctx, w, {});
+  std::vector<double> scores;
+  node_scores(ctx, w, {}, scores);
   EXPECT_GT(scores[0], scores[2]);
   EXPECT_GT(scores[2], scores[1]);
 }
@@ -91,7 +99,7 @@ TEST(Hiding, RebalanceMovesSmallestVmWorstToBest) {
   PolicyContext ctx = three_node_ctx();
   ctx.nodes[0].vms = {vm(10, 4.0, 8.0), vm(11, 2.0, 4.0)};
   const AgingWeights w{1.0 / 3, 1.0 / 3, 1.0 / 3};
-  const auto move = propose_rebalance(ctx, w, {}, 0.05);
+  const auto move = propose_rebalance(ctx, scores_of(ctx, w), 0.05);
   ASSERT_TRUE(move.has_value());
   EXPECT_EQ(move->vm, 11);  // smallest migratable VM
   EXPECT_EQ(move->from, 0u);
@@ -104,7 +112,7 @@ TEST(Hiding, RebalanceRespectsThreshold) {
   ctx.nodes.push_back(node(1, 0.11, 1.0, 0.4));
   ctx.nodes[0].vms = {vm(1, 2.0, 4.0)};
   ctx.nodes[1].vms = {vm(2, 2.0, 4.0)};
-  EXPECT_FALSE(propose_rebalance(ctx, AgingWeights{}, {}, 0.5).has_value());
+  EXPECT_FALSE(propose_rebalance(ctx, scores_of(ctx, AgingWeights{}), 0.5).has_value());
 }
 
 TEST(Hiding, RebalanceNeedsMigratableVm) {
@@ -112,7 +120,7 @@ TEST(Hiding, RebalanceNeedsMigratableVm) {
   ctx.nodes[0].vms = {vm(10, 2.0, 4.0, /*migratable=*/false)};
   const AgingWeights w{1.0 / 3, 1.0 / 3, 1.0 / 3};
   // Worst node has nothing migratable; middle node has nothing at all.
-  EXPECT_FALSE(propose_rebalance(ctx, w, {}, 0.01).has_value());
+  EXPECT_FALSE(propose_rebalance(ctx, scores_of(ctx, w), 0.01).has_value());
 }
 
 TEST(Hiding, RebalanceNeedsTargetCapacity) {
@@ -121,14 +129,20 @@ TEST(Hiding, RebalanceNeedsTargetCapacity) {
   ctx.nodes[1].cores_free = 1.0;
   ctx.nodes[2].cores_free = 1.0;
   const AgingWeights w{1.0 / 3, 1.0 / 3, 1.0 / 3};
-  EXPECT_FALSE(propose_rebalance(ctx, w, {}, 0.01).has_value());
+  EXPECT_FALSE(propose_rebalance(ctx, scores_of(ctx, w), 0.01).has_value());
 }
 
 TEST(Hiding, RebalanceSingleNodeIsNoop) {
   PolicyContext ctx;
   ctx.nodes.push_back(node(0, 0.3, 0.5, 0.9));
   ctx.nodes[0].vms = {vm(1, 2.0, 4.0)};
-  EXPECT_FALSE(propose_rebalance(ctx, AgingWeights{}, {}, 0.0).has_value());
+  EXPECT_FALSE(propose_rebalance(ctx, scores_of(ctx, AgingWeights{}), 0.0).has_value());
+}
+
+TEST(Hiding, RebalanceRejectsScoreCountMismatch) {
+  const PolicyContext ctx = three_node_ctx();
+  const std::vector<double> two_scores{0.1, 0.2};
+  EXPECT_THROW((void)propose_rebalance(ctx, two_scores, 0.0), util::PreconditionError);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "battery/ledger.hpp"
 #include "fault/injector.hpp"
 #include "obs/obs.hpp"
 #include "sim/experiment.hpp"
@@ -180,6 +181,77 @@ TEST(CheckpointResume, EveryDayBoundaryResumesIdentically) {
     SCOPED_TRACE("resumed from day " + std::to_string(day));
     expect_identical(uninterrupted, resumed);
   }
+}
+
+TEST(CheckpointResume, StuckSensorGuardFallbacksMatchAcrossResume) {
+  // The guard judges staleness by each power table's last reading time, the
+  // only trace of the sample stream a checkpoint keeps. Stuck sensors make
+  // that timestamp lag, so a resumed run must take exactly the stale
+  // fallbacks the straight run takes. The restored timestamp is read only
+  // by a control tick that runs before the day's first reading, so the duty
+  // window opens at midnight, and long holds keep sensors stuck across it.
+  ScenarioConfig cfg = small_scenario();
+  cfg.faults = fault::parse_fault_plan("sensor_stuck:p=0.01:hold=240");
+  cfg.guard.enabled = true;
+  cfg.day_start = util::Seconds{0.0};
+  const std::size_t days = 4;
+  CheckpointDir dir{"stuck_guard"};
+  MultiDayOptions opts = day_options(days);
+  const std::uint64_t hash = scenario_fingerprint(cfg, opts);
+
+  struct Tally {
+    double stale = 0.0;
+    std::uint64_t fallbacks = 0;
+  };
+  auto run = [&cfg](const MultiDayOptions& o) {
+    obs::set_profiling_enabled(false);
+    obs::global_registry().reset();
+    util::set_sim_time(-1.0);
+    Cluster cluster{cfg};
+    (void)run_multi_day(cluster, o);
+    const obs::Counter* stale = obs::global_registry().find_counter("policy.fallback{stale}");
+    return Tally{stale != nullptr ? stale->value() : 0.0, cluster.guard().fallback_count()};
+  };
+
+  const Tally straight = run(opts);
+  EXPECT_GT(straight.stale, 0.0) << "the stuck sensor never tripped the staleness check";
+
+  opts.checkpoint.every_days = 1;
+  opts.checkpoint.dir = dir.path();
+  opts.checkpoint.config_hash = hash;
+  (void)run(opts);
+  MultiDayOptions resume_opts = day_options(days);
+  resume_opts.checkpoint.resume_path = dir.snap(2);
+  resume_opts.checkpoint.config_hash = hash;
+  const Tally resumed = run(resume_opts);
+
+  EXPECT_EQ(resumed.stale, straight.stale);
+  EXPECT_EQ(resumed.fallbacks, straight.fallbacks);
+}
+
+TEST(CheckpointSize, ClusterStateStaysBoundedPerNode) {
+  // Per-node telemetry state is O(1): the checkpoint after ten days is as
+  // large as after one, and well under 2 KB per node. The only per-node
+  // field of varying length is the rainflow turning-point stack, whose
+  // depth moves with the day's SoC swings but is capped at kStackDepth.
+  ScenarioConfig cfg = small_scenario(/*faulted=*/true);
+  cfg.nodes = 6;
+  Cluster cluster{cfg};
+  auto state_bytes = [&cluster] {
+    snapshot::SnapshotWriter w;
+    cluster.save_state(w);
+    return static_cast<double>(w.bytes().size());
+  };
+  (void)cluster.run_day(solar::DayType::Sunny);
+  const double after_one = state_bytes();
+  for (int d = 1; d < 10; ++d) {
+    (void)cluster.run_day(d % 3 == 1 ? solar::DayType::Cloudy : solar::DayType::Sunny);
+  }
+  const double after_ten = state_bytes();
+  const double rainflow_slack = static_cast<double>(
+      cfg.nodes * battery::OnlineRainflow::kStackDepth * sizeof(double));
+  EXPECT_NEAR(after_ten, after_one, rainflow_slack);
+  EXPECT_LT(after_ten / static_cast<double>(cfg.nodes), 2048.0);
 }
 
 TEST(CheckpointResume, FinalDayWritesNoPointlessSnapshot) {

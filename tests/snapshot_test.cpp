@@ -259,6 +259,28 @@ TEST(SnapshotFile, FutureFormatVersionRefused) {
   fs::remove(path);
 }
 
+TEST(SnapshotFile, PreviousFormatVersionRefusedNamingBothVersions) {
+  // v2 files carry the power tables' 1024-deep sample rings that v3 dropped;
+  // reading one must be a clear refusal, never a misparse.
+  const std::string path = temp_path("v2.snap");
+  SnapshotWriter w;
+  w.write_u8(1);
+  write_snapshot_file(path, 0, w.bytes());
+  std::vector<std::uint8_t> bytes = file_bytes(path);
+  bytes[8] = 2;  // version is not CRC'd
+  put_bytes(path, bytes);
+  try {
+    read_snapshot_file(path, 0);
+    FAIL() << "a v2 snapshot must be refused";
+  } catch (const SnapshotError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("format version 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("reads version " + std::to_string(kFormatVersion)), std::string::npos)
+        << msg;
+  }
+  fs::remove(path);
+}
+
 TEST(SnapshotFile, OverwriteIsAtomicReplace) {
   // Writing over an existing snapshot replaces it wholesale: afterwards the
   // file holds exactly the new payload and no tmp residue.
@@ -442,6 +464,25 @@ TEST(SectionFile, BadMagicAndVersionRefused) {
   bytes[8] = 0xEE;  // version low byte
   put_bytes(path, bytes);
   EXPECT_THROW(SectionFileReader(path, 7), SnapshotError);
+  fs::remove(path);
+}
+
+TEST(SectionFile, PreviousFormatVersionRefusedNamingBothVersions) {
+  const std::string path = temp_path("sect_v1.snap");
+  write_three_sections(path, 7);
+  std::vector<std::uint8_t> bytes = file_bytes(path);
+  bytes[8] = 1;  // version low byte
+  put_bytes(path, bytes);
+  try {
+    SectionFileReader r(path, 7);
+    FAIL() << "a v1 sectioned snapshot must be refused";
+  } catch (const SnapshotError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("format version 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("reads version " + std::to_string(kSectionFormatVersion)),
+              std::string::npos)
+        << msg;
+  }
   fs::remove(path);
 }
 

@@ -101,14 +101,50 @@ TEST(PowerTable, DrEwmaRisesAndDecays) {
   EXPECT_LT(t.recent_discharge_amps(), 0.1);
 }
 
-TEST(PowerTable, HistoryRingBounded) {
-  PowerTableParams p;
-  p.chemistry = battery::LeadAcidParams{};
-  p.history_depth = 16;
-  PowerTable t{p};
-  battery::Battery b = fresh(0.9);
-  drive(b, t, 1.0, 2.0);
-  EXPECT_EQ(t.history().size(), 16u);
+TEST(PowerTable, LastReadingTimeTracksNewest) {
+  PowerTable t = make_table();
+  EXPECT_FALSE(t.last_reading_time().has_value());
+
+  SensorReading r;
+  r.voltage = util::Volts{12.6};
+  r.current = amperes(2.0);
+  r.time = util::Seconds{600.0};
+  t.record(r, util::Seconds{60.0});
+  ASSERT_TRUE(t.last_reading_time().has_value());
+  EXPECT_DOUBLE_EQ(t.last_reading_time()->value(), 600.0);
+
+  r.time = util::Seconds{660.0};
+  t.record(r, util::Seconds{60.0});
+  EXPECT_DOUBLE_EQ(t.last_reading_time()->value(), 660.0);
+
+  // A stuck sensor replays an old sample: the table reports that sample's
+  // timestamp, not the newest one it has ever seen.
+  r.time = util::Seconds{120.0};
+  t.record(r, util::Seconds{60.0});
+  EXPECT_DOUBLE_EQ(t.last_reading_time()->value(), 120.0);
+}
+
+TEST(PowerTable, LastReadingTimeSurvivesCheckpoint) {
+  PowerTable empty = make_table();
+  PowerTable seen = make_table();
+  SensorReading r;
+  r.voltage = util::Volts{12.6};
+  r.time = util::Seconds{4321.0};
+  seen.record(r, util::Seconds{60.0});
+
+  snapshot::SnapshotWriter w;
+  empty.save_state(w);
+  seen.save_state(w);
+  snapshot::SnapshotReader rd{w.bytes()};
+  PowerTable empty_back = make_table();
+  PowerTable seen_back = make_table();
+  empty_back.record(r, util::Seconds{60.0});  // load must clear this
+  empty_back.load_state(rd);
+  seen_back.load_state(rd);
+  EXPECT_EQ(rd.remaining(), 0u);
+  EXPECT_FALSE(empty_back.last_reading_time().has_value());
+  ASSERT_TRUE(seen_back.last_reading_time().has_value());
+  EXPECT_DOUBLE_EQ(seen_back.last_reading_time()->value(), 4321.0);
 }
 
 TEST(Metrics, FreshTableIsNeutral) {

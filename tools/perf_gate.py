@@ -10,7 +10,11 @@ must stay under its budget, the --math=simd tier must beat the
 --math=fast tier by at least --simd-speedup-min on the 384-cell config
 (the vectorization guarantee DESIGN.md §5f advertises), and the
 --chemistry bucket tier must beat the lead-acid exact kernel by at least
---bucket-speedup-min at the same bank size (DESIGN.md §5i).
+--bucket-speedup-min at the same bank size (DESIGN.md §5i). Datacenter
+rows (names starting "dc_") carry two more bounds: the sectioned
+checkpoint must stay under CHECKPOINT_BYTES_PER_NODE_MAX bytes per node,
+and allocs/node-tick may not creep past ALLOC_CREEP_FACTOR x baseline +
+ALLOC_CREEP_SLACK.
 
 Machines differ, so raw nanoseconds are not comparable across hosts: both
 files carry a `calibration_ns` scalar (a fixed dependent-FMA loop timed on
@@ -38,6 +42,17 @@ import json
 import shutil
 import sys
 
+# Datacenter rows: per-node telemetry state is O(1), so a checkpoint is
+# about 1 KB per node; the bound leaves room for growth but catches any
+# per-node history sneaking back in.
+DC_PREFIX = "dc_"
+CHECKPOINT_BYTES_PER_NODE_MAX = 2048.0
+# Allocation creep: a day pipeline that allocates a little must not drift
+# back up. The slack keeps near-zero baselines from failing on one stray
+# allocation per few hundred node-ticks.
+ALLOC_CREEP_FACTOR = 1.25
+ALLOC_CREEP_SLACK = 0.005
+
 
 def fail(msg):
     """Readable gate failure: diagnosis on stderr, exit 2 (1 = perf regression)."""
@@ -48,6 +63,16 @@ def numeric(doc_path, key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         fail(f"{doc_path}: '{key}' must be a number, got {value!r}")
     return float(value)
+
+
+def field(doc_label, bench, key):
+    """A bench's numeric field, or a readable refusal (exit 2) when the
+    result file predates the field."""
+    if key not in bench:
+        fail(f"{doc_label}: bench '{bench['name']}' is missing '{key}' — "
+             "result file and bench binary are out of sync; rerun the bench "
+             "(and refresh the baseline with --update)")
+    return numeric(doc_label, f"{bench['name']}.{key}", bench[key])
 
 
 def load(path):
@@ -215,6 +240,44 @@ def bucket_speedup(doc, minimum):
     return lines, failures
 
 
+def checkpoint_bytes(doc, limit):
+    """Every datacenter row must keep its sectioned checkpoint under `limit`
+    bytes per node. Files without datacenter rows (kernel results) are
+    skipped; a datacenter row without the field is refused readably."""
+    lines, failures = [], []
+    for b in doc["benches"]:
+        if not b["name"].startswith(DC_PREFIX):
+            continue
+        per_node = field("current run", b, "checkpoint_bytes_per_node")
+        lines.append(f"{b['name']:16s} checkpoint {per_node:8.0f} B/node "
+                     f"(max {limit:.0f})")
+        if per_node > limit:
+            failures.append(f"{b['name']}: checkpoint {per_node:.0f} B/node exceeds the "
+                            f"{limit:.0f} B/node bound")
+    return lines, failures
+
+
+def alloc_creep(base, cur, factor, slack):
+    """Every datacenter row shared with the baseline must keep allocs per
+    node-tick within factor x baseline + slack — allocation may not creep
+    back before it reaches the allocation-free rule in gate()."""
+    base_by_name = {b["name"]: b for b in base["benches"]}
+    lines, failures = [], []
+    for c in cur["benches"]:
+        name = c["name"]
+        if not name.startswith(DC_PREFIX) or name not in base_by_name:
+            continue
+        was = field("baseline", base_by_name[name], "allocs_per_tick")
+        now = field("current run", c, "allocs_per_tick")
+        limit = was * factor + slack
+        lines.append(f"{name:16s} allocs/tick {now:.4f} (baseline {was:.4f}, "
+                     f"max {limit:.4f})")
+        if now > limit:
+            failures.append(f"{name}: allocs/tick {now:.4f} exceeds {limit:.4f} "
+                            f"(baseline {was:.4f} x {factor:.2f} + {slack})")
+    return lines, failures
+
+
 def self_test():
     """Exercise the malformed-input paths in-process; exits non-zero on bugs."""
     import copy
@@ -340,6 +403,51 @@ def self_test():
     _, failures = sharding_tax(good, 0.25)  # no datacenter pair: skipped
     assert not failures, failures
 
+    # 5d. the checkpoint-bytes rule: over the bound fails, under passes, a
+    # file without datacenter rows is skipped and a datacenter row without
+    # the field is a readable refusal
+    ckpt = {"calibration_ns": 2.0,
+            "benches": [{"name": "dc_ref_6250", "ns_per_cell_tick": 100.0,
+                         "allocs_per_tick": 0.01, "checkpoint_bytes_per_node": 1066.0}]}
+    _, failures = checkpoint_bytes(ckpt, 2048.0)
+    assert not failures, failures
+    fat = copy.deepcopy(ckpt)
+    fat["benches"][0]["checkpoint_bytes_per_node"] = 66600.0
+    _, failures = checkpoint_bytes(fat, 2048.0)
+    assert any("B/node" in f for f in failures), failures
+    _, failures = checkpoint_bytes(good, 2048.0)  # no datacenter rows: skipped
+    assert not failures, failures
+    no_ckpt = copy.deepcopy(ckpt)
+    del no_ckpt["benches"][0]["checkpoint_bytes_per_node"]
+    msg = expect_exit("missing checkpoint field",
+                      lambda: checkpoint_bytes(no_ckpt, 2048.0))
+    assert "checkpoint_bytes_per_node" in msg, msg
+
+    # 5e. the alloc-creep rule: creep past factor x baseline + slack fails,
+    # within it (and near-zero noise under the slack) passes, and a row
+    # without allocs_per_tick is a readable refusal
+    crept = copy.deepcopy(ckpt)
+    crept["benches"][0]["allocs_per_tick"] = 0.02
+    _, failures = alloc_creep(ckpt, crept, 1.25, 0.005)
+    assert any("allocs/tick" in f for f in failures), failures
+    near = copy.deepcopy(ckpt)
+    near["benches"][0]["allocs_per_tick"] = 0.0175
+    _, failures = alloc_creep(ckpt, near, 1.25, 0.005)
+    assert not failures, failures
+    zero = copy.deepcopy(ckpt)
+    zero["benches"][0]["allocs_per_tick"] = 0.0
+    noisy = copy.deepcopy(zero)
+    noisy["benches"][0]["allocs_per_tick"] = 0.004
+    _, failures = alloc_creep(zero, noisy, 1.25, 0.005)
+    assert not failures, failures
+    _, failures = alloc_creep(good, good, 1.25, 0.005)  # no datacenter rows
+    assert not failures, failures
+    no_allocs = copy.deepcopy(ckpt)
+    del no_allocs["benches"][0]["allocs_per_tick"]
+    msg = expect_exit("missing allocs field",
+                      lambda: alloc_creep(ckpt, no_allocs, 1.25, 0.005))
+    assert "allocs_per_tick" in msg, msg
+
     # 6. the happy path still gates
     slow = copy.deepcopy(good)
     slow["benches"][0]["ns_per_cell_tick"] = 100.0
@@ -415,6 +523,13 @@ def main():
     shard_lines, shard_failures = sharding_tax(cur, args.sharding_tax_threshold)
     lines += shard_lines
     failures += shard_failures
+    ckpt_lines, ckpt_failures = checkpoint_bytes(cur, CHECKPOINT_BYTES_PER_NODE_MAX)
+    lines += ckpt_lines
+    failures += ckpt_failures
+    creep_lines, creep_failures = alloc_creep(base, cur, ALLOC_CREEP_FACTOR,
+                                              ALLOC_CREEP_SLACK)
+    lines += creep_lines
+    failures += creep_failures
     for line in lines:
         print(line)
 
