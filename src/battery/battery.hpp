@@ -128,7 +128,7 @@ class Battery {
   // --- fleet plumbing --------------------------------------------------------
   /// The fleet this unit's state lives in (the private one for standalones).
   /// The router uses pointer equality to detect banks sharing one fleet and
-  /// batch their idle steps.
+  /// batch their discharge and idle steps.
   [[nodiscard]] FleetState* fleet() { return fleet_; }
   [[nodiscard]] const FleetState* fleet() const { return fleet_; }
   [[nodiscard]] std::size_t cell_index() const { return cell_; }

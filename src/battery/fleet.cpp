@@ -607,7 +607,9 @@ void FleetState::step_all(std::span<const Amperes> requested, Seconds dt,
   BAAT_REQUIRE(requested.size() == size() && results.size() == size(),
                "fleet_step span sizes must match the fleet size");
   if (math_ == MathMode::Simd && kind_ == Chemistry::LeadAcid) {
-    step_all_simd(requested, dt, results);
+    BAAT_REQUIRE(dt.value() > 0.0, "dt must be positive");
+    if (derived_dirty_) refresh_derived();
+    step_range_simd(0, size(), requested.data(), dt, results.data());
     return;
   }
   if (kind_ == Chemistry::Bucket) {
@@ -630,9 +632,26 @@ __attribute__((flatten)) void FleetState::step_all_bucket(
   }
 }
 
-void FleetState::step_cells(std::span<const std::size_t> cells, Amperes requested,
-                            Seconds dt) {
-  for (const std::size_t c : cells) (void)step_cell(c, requested, dt);
+void FleetState::step_cells(std::span<const std::size_t> cells,
+                            std::span<const Amperes> requested, Seconds dt,
+                            std::span<StepResult> results) {
+  BAAT_REQUIRE(requested.size() == cells.size() && results.size() == cells.size(),
+               "step_cells span sizes must match the cell list");
+  if (math_ != MathMode::Simd || kind_ != Chemistry::LeadAcid) {
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      results[k] = step_cell(cells[k], requested[k], dt);
+    }
+    return;
+  }
+  BAAT_REQUIRE(dt.value() > 0.0, "dt must be positive");
+  if (derived_dirty_) refresh_derived();
+  for (std::size_t k = 0; k < cells.size();) {
+    std::size_t run = 1;
+    while (k + run < cells.size() && cells[k + run] == cells[k] + run) ++run;
+    BAAT_REQUIRE(cells[k] + run <= size(), "cell index out of range");
+    step_range_simd(cells[k], run, requested.data() + k, dt, results.data() + k);
+    k += run;
+  }
 }
 
 // --- view support ------------------------------------------------------------

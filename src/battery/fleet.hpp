@@ -111,9 +111,12 @@ class FleetState {
   /// Step every cell with its own requested current.
   void step_all(std::span<const Amperes> requested, Seconds dt,
                 std::span<StepResult> results);
-  /// Step the listed cells with one common current (the router's batched
-  /// idle pass uses this with 0 A).
-  void step_cells(std::span<const std::size_t> cells, Amperes requested, Seconds dt);
+  /// Step the listed cells, cell `cells[k]` at `requested[k]` into
+  /// `results[k]` (the router's batched discharge-and-idle pass). Results
+  /// are bitwise those of a step_cell loop over the list; the simd tier
+  /// runs each stretch of consecutive cell indices through the lane kernel.
+  void step_cells(std::span<const std::size_t> cells, std::span<const Amperes> requested,
+                  Seconds dt, std::span<StepResult> results);
 
   // --- per-cell observables (exact ports of the Battery accessors) ----------
   [[nodiscard]] double cell_soc(std::size_t c) const { return soc_[c]; }
@@ -223,8 +226,12 @@ class FleetState {
   void step_block_simd(std::size_t base, std::size_t count, const Amperes* requested,
                        Seconds dt, StepResult* results);
   StepResult step_cell_simd(std::size_t c, Amperes requested, Seconds dt);
-  void step_all_simd(std::span<const Amperes> requested, Seconds dt,
-                     std::span<StepResult> results);
+  /// Advance cells [base, base + count) block by block: W = kLanes groups
+  /// plus a W = 1 tail per block. Shared by step_all and step_cells;
+  /// `requested`/`results` are range-local and the derived mirrors must be
+  /// fresh.
+  void step_range_simd(std::size_t base, std::size_t count, const Amperes* requested,
+                       Seconds dt, StepResult* results);
   /// Rebuild the derived per-cell constant mirrors below when dirty.
   void refresh_derived();
 

@@ -18,7 +18,7 @@
 //
 // Consistency contract: step_cell_simd is the W = 1 instantiation of
 // step_block_simd, compiled in this same TU with contraction off, so the
-// router's per-cell active path and the batched step_all path are bitwise
+// per-cell path and the batched step_all/step_cells paths are bitwise
 // identical within the tier (tests/fleet_kernel_test.cpp pins this).
 // Against the Exact tier the simd trajectories are toleranced like Fast:
 // lifetime metrics within 0.1% (reassociated constants, precomputed
@@ -169,7 +169,7 @@ void FleetState::step_block_simd(std::size_t base, std::size_t count,
     // lane stores exactly what the masked computation would have stored
     // (everything here is select-discarded on non-member lanes), so skipping
     // is invisible to the W = 1 == W = kLanes contract and the idle 0 A path
-    // (the router's step_cells batches) pays almost nothing.
+    // (in the router's batched step_cells pass) pays almost nothing.
     const M d0 = s::cmp_gt(actual, zero);
     const M c0 = s::cmp_lt(actual, zero);
     const M active = s::mask_or(d0, c0);
@@ -481,24 +481,20 @@ StepResult FleetState::step_cell_simd(std::size_t c, Amperes requested, Seconds 
   return result;
 }
 
-void FleetState::step_all_simd(std::span<const Amperes> requested, Seconds dt,
-                               std::span<StepResult> results) {
-  BAAT_REQUIRE(dt.value() > 0.0, "dt must be positive");
-  if (derived_dirty_) refresh_derived();
+void FleetState::step_range_simd(std::size_t base, std::size_t count,
+                                 const Amperes* requested, Seconds dt,
+                                 StepResult* results) {
   constexpr int W = util::simd::kLanes;
-  const std::size_t n = size();
-  std::size_t c = 0;
-  while (c < n) {
-    const std::size_t block = std::min(kBlockCells, n - c);
+  std::size_t o = 0;
+  while (o < count) {
+    const std::size_t block = std::min(kBlockCells, count - o);
     const std::size_t vec = block - block % W;
-    if (vec != 0) {
-      step_block_simd<W>(c, vec, requested.data() + c, dt, results.data() + c);
-    }
+    if (vec != 0) step_block_simd<W>(base + o, vec, requested + o, dt, results + o);
     if (vec != block) {
-      step_block_simd<1>(c + vec, block - vec, requested.data() + c + vec, dt,
-                         results.data() + c + vec);
+      step_block_simd<1>(base + o + vec, block - vec, requested + o + vec, dt,
+                         results + o + vec);
     }
-    c += block;
+    o += block;
   }
 }
 

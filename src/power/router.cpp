@@ -84,8 +84,15 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
     }
   }
 
-  scratch.stepped.assign(n, 0);
-  std::vector<std::uint8_t>& stepped = scratch.stepped;
+  // Per-node role this tick. Step 3 only decides each discharging node's
+  // current from pre-step state; step 4 charges (and steps) eligible idle
+  // nodes one by one; step 5 steps every other cell in one batched call.
+  // Cells are independent, so stepping discharges after the charges leaves
+  // every result bitwise what dispatch order would give.
+  enum Role : std::uint8_t { kIdle, kDischarging, kCharged };
+  scratch.role.assign(n, kIdle);
+  scratch.current.assign(n, Amperes{0.0});
+  std::vector<std::uint8_t>& role = scratch.role;
 
   // 3. Batteries → remaining per-node deficits.
   for (std::size_t i = 0; i < n; ++i) {
@@ -94,7 +101,7 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
         (node.demand - node.solar_used - node.utility_used).value();
     if (deficit <= 1e-12) continue;
 
-    battery::Battery& bat = batteries[i];
+    const battery::Battery& bat = batteries[i];
     const double floor = discharge_floor_soc.empty() ? 0.0 : discharge_floor_soc[i];
     if (bat.soc() <= floor) {
       node.unmet = Watts{deficit};
@@ -121,28 +128,21 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
       i_req = Amperes{ah_above_floor * 3600.0 / dt.value()};
       node.battery_cutoff = true;
     }
-
-    const auto step = bat.step(i_req, dt);
-    stepped[i] = true;
-    node.battery_current = step.actual_current;
-    node.battery_cutoff = node.battery_cutoff || step.hit_cutoff;
-    const double delivered_dc =
-        step.terminal_voltage.value() * step.actual_current.value();
-    const double delivered = std::max(0.0, delivered_dc) * params.inverter_efficiency;
-    node.battery_delivered = Watts{std::min(delivered, deficit)};
-    node.unmet = Watts{std::max(0.0, deficit - delivered)};
+    role[i] = kDischarging;
+    scratch.current[i] = i_req;
   }
 
   // 4. Leftover solar → charging. Under Proportional allocation every
   // eligible battery draws a share of the bus scaled by its acceptance;
   // under PriorityOrder the listed order is strict. Either way a battery
-  // that discharged this tick cannot also charge.
+  // that discharges this tick cannot also charge, and its state is never
+  // read here.
   const bool proportional =
       params.charge_allocation == ChargeAllocation::Proportional;
   double acceptance_power_total = 0.0;
   if (proportional) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (stepped[i]) continue;
+      if (role[i] != kIdle) continue;
       const Amperes accept = batteries[i].max_charge_current();
       if (accept.value() <= 0.0) continue;
       acceptance_power_total +=
@@ -158,7 +158,7 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
   for (std::size_t rank = 0; rank < n && solar_left > 1e-9; ++rank) {
     const std::size_t i = charge_priority[rank];
     BAAT_REQUIRE(i < n, "charge priority index out of range");
-    if (stepped[i]) continue;
+    if (role[i] != kIdle) continue;
     battery::Battery& bat = batteries[i];
     const Amperes accept = bat.max_charge_current();
     if (accept.value() <= 0.0) continue;
@@ -177,7 +177,7 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
     if (i_chg <= 0.0) continue;
 
     const auto step = bat.step(Amperes{-i_chg}, dt);
-    stepped[i] = true;
+    role[i] = kCharged;
     const double into_terminals =
         step.terminal_voltage.value() * std::fabs(step.actual_current.value());
     // The step reports the end-of-step terminal voltage (the OCV rose a
@@ -190,25 +190,46 @@ void route_power_into(Watts solar, std::span<const Watts> demands,
     solar_left = std::max(0.0, solar_left - from_bus);
   }
 
-  // 5. Idle batteries still age on the calendar. When every node's battery
-  // is a view into one shared FleetState (a cluster bank), the zero-current
-  // steps go through the batched kernel entry in one call; mixed or
-  // standalone banks take the per-object loop. Cell order matches the loop,
-  // so the two paths are identical.
+  // 5. Every cell that did not charge steps once more: discharging cells at
+  // their step-3 current, idle ones at 0 A so calendar aging and time
+  // counters always advance. When every node's battery is a view into one
+  // shared FleetState (a cluster bank) they go through the batched kernel
+  // entry in one call; mixed or standalone banks take the per-object loop.
   battery::FleetState* fleet = n > 0 ? batteries[0].fleet() : nullptr;
   for (std::size_t i = 1; i < n && fleet != nullptr; ++i) {
     if (batteries[i].fleet() != fleet) fleet = nullptr;
   }
+  scratch.cells.clear();
+  scratch.requested.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (role[i] == kCharged) continue;
+    scratch.cells.push_back(batteries[i].cell_index());
+    scratch.requested.push_back(scratch.current[i]);
+  }
+  scratch.results.resize(scratch.cells.size());
   if (fleet != nullptr) {
-    scratch.idle_cells.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!stepped[i]) scratch.idle_cells.push_back(batteries[i].cell_index());
-    }
-    fleet->step_cells(scratch.idle_cells, Amperes{0.0}, dt);
+    fleet->step_cells(scratch.cells, scratch.requested, dt, scratch.results);
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!stepped[i]) batteries[i].step(Amperes{0.0}, dt);
+    for (std::size_t i = 0, k = 0; i < n; ++i) {
+      if (role[i] == kCharged) continue;
+      scratch.results[k] = batteries[i].step(scratch.requested[k], dt);
+      ++k;
     }
+  }
+  for (std::size_t i = 0, k = 0; i < n; ++i) {
+    if (role[i] == kCharged) continue;
+    const battery::StepResult& step = scratch.results[k++];
+    if (role[i] != kDischarging) continue;
+    auto& node = result.nodes[i];
+    const double deficit =
+        (node.demand - node.solar_used - node.utility_used).value();
+    node.battery_current = step.actual_current;
+    node.battery_cutoff = node.battery_cutoff || step.hit_cutoff;
+    const double delivered_dc =
+        step.terminal_voltage.value() * step.actual_current.value();
+    const double delivered = std::max(0.0, delivered_dc) * params.inverter_efficiency;
+    node.battery_delivered = Watts{std::min(delivered, deficit)};
+    node.unmet = Watts{std::max(0.0, deficit - delivered)};
   }
 
   result.solar_curtailed = Watts{solar_left};

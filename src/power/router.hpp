@@ -14,8 +14,14 @@
 //      (BAAT points it at the most-aged unit first, §VI-B);
 //   5. anything still left is curtailed.
 //
-// Every battery is stepped exactly once per call, including idle ones, so
-// calendar aging and time counters always advance.
+// The dispatch order above decides the currents; the stepping order
+// differs. Step 3 only fixes each discharging node's current from its
+// pre-step state. Step 4 steps the chargers one by one, because each charge
+// depends on the bus power the previous one left. Then one batched call
+// steps every other cell: discharging ones at their fixed current, idle ones
+// at 0 A. Cells are independent, so the results match stepping in dispatch
+// order bit for bit. Every battery is stepped exactly once per call,
+// including idle ones, so calendar aging and time counters always advance.
 
 #include <cstdint>
 #include <span>
@@ -71,8 +77,11 @@ struct RouteResult {
 /// these alive across ticks (Cluster does) makes routing allocation-free in
 /// steady state: the vectors grow once to the node count and are reused.
 struct RouterScratch {
-  std::vector<std::uint8_t> stepped;
-  std::vector<std::size_t> idle_cells;
+  std::vector<std::uint8_t> role;       ///< per node: idle, discharging, charged
+  std::vector<Amperes> current;         ///< per node: step-3 discharge current
+  std::vector<std::size_t> cells;       ///< batched pass: cells that did not charge
+  std::vector<Amperes> requested;       ///< batched pass: current per listed cell
+  std::vector<battery::StepResult> results;  ///< batched pass: outcome per listed cell
 };
 
 /// Routes one tick. `demands[i]` is node i's server power; `batteries[i]` is

@@ -33,8 +33,9 @@ Cluster::Cluster(ScenarioConfig cfg) : cfg_(std::move(cfg)), rng_(cfg_.seed) {
   cfg_.bank.units = cfg_.nodes;
   util::Rng bank_rng = rng_.fork("bank");
   // One shared FleetState for the whole bank (same RNG draws as make_bank),
-  // with a thin Battery view per node: the router batch-steps idle cells
-  // through the fleet kernel while everything else keeps the object API.
+  // with a thin Battery view per node: the router batch-steps discharging
+  // and idle cells through the fleet kernel while everything else keeps the
+  // object API.
   fleet_ = battery::make_fleet(cfg_.bank, bank_rng);
   batteries_ = battery::fleet_views(*fleet_);
 
@@ -48,14 +49,13 @@ Cluster::Cluster(ScenarioConfig cfg) : cfg_(std::move(cfg)), rng_(cfg_.seed) {
   guard_ = core::TelemetryGuard{cfg_.guard, cfg_.nodes};
   watchdog_ = Watchdog{cfg_.watchdog, cfg_.nodes};
 
-  telemetry::PowerTableParams table_params;
-  table_params.chemistry = cfg_.bank.chemistry;
-  table_params.ocv_curve = cfg_.bank.ocv;
-  table_params.estimation = cfg_.soc_estimation;
+  table_params_.chemistry = cfg_.bank.chemistry;
+  table_params_.ocv_curve = cfg_.bank.ocv;
+  table_params_.estimation = cfg_.soc_estimation;
   for (std::size_t i = 0; i < cfg_.nodes; ++i) {
     servers_.emplace_back(cfg_.server);
-    life_tables_.emplace_back(table_params);
-    day_tables_.emplace_back(table_params);
+    life_tables_.emplace_back(table_params_);
+    day_tables_.emplace_back(table_params_);
     sensors_.emplace_back(cfg_.sensor_noise, rng_.fork("sensor"));
   }
 
@@ -418,7 +418,7 @@ DayResult Cluster::run_day(const solar::SolarDay& day) {
 
   // Fresh per-day power tables: "the logs contain ... aging metrics
   // information of six battery nodes" recorded per experiment day (§VI-B).
-  for (telemetry::PowerTable& t : day_tables_) t = telemetry::PowerTable{t.params()};
+  for (telemetry::PowerTable& t : day_tables_) t = telemetry::PowerTable{table_params_};
 
   soc_min_.resize(cfg_.nodes);
   for (std::size_t i = 0; i < cfg_.nodes; ++i) soc_min_[i] = batteries_[i].soc();
@@ -465,16 +465,15 @@ DayResult Cluster::run_day(const solar::SolarDay& day) {
       // --- job arrivals ------------------------------------------------------
       // Queue semantics: a job that cannot be placed yet (capacity
       // fragmentation) waits and is retried as earlier batches finish.
-      if (!pending_jobs_.empty()) {
-        std::vector<JobSpec> still_pending;
-        for (const JobSpec& job : pending_jobs_) {
-          if (!deploy_job(job)) {
-            obs_.deploy_retries->inc();
-            still_pending.push_back(job);
-          }
-        }
-        pending_jobs_ = std::move(still_pending);
+      // Retried in arrival order and compacted in place, so a waiting queue
+      // allocates nothing.
+      std::size_t still_pending = 0;
+      for (std::size_t j = 0; j < pending_jobs_.size(); ++j) {
+        if (deploy_job(pending_jobs_[j])) continue;
+        obs_.deploy_retries->inc();
+        pending_jobs_[still_pending++] = pending_jobs_[j];
       }
+      pending_jobs_.resize(still_pending);
       while (next_job < cfg_.daily_jobs.size() &&
              cfg_.daily_jobs[next_job].arrival.value() <= tod - cfg_.day_start.value()) {
         if (!deploy_job(cfg_.daily_jobs[next_job])) {
@@ -549,8 +548,11 @@ DayResult Cluster::run_day(const solar::SolarDay& day) {
       telemetry::SensorReading reading =
           sensors_[i].read(batteries_[i], last_route.nodes[i].battery_current, now);
       if (injector_ != nullptr) reading = injector_->perturb_reading(i, reading);
-      life_tables_[i].record(reading, cfg_.dt);
-      day_tables_[i].record(reading, cfg_.dt);
+      // Both tables share table_params_, so they share the reading's
+      // voltage-derived SoC too.
+      const double soc_v = telemetry::voltage_soc(table_params_, reading);
+      life_tables_[i].record(reading, cfg_.dt, soc_v);
+      day_tables_[i].record(reading, cfg_.dt, soc_v);
     }
 
     // --- work grants ----------------------------------------------------------------

@@ -130,6 +130,8 @@ class Cluster {
   std::unique_ptr<battery::FleetState> fleet_;
   std::vector<battery::Battery> batteries_;  ///< views into *fleet_, one per node
   std::vector<server::Server> servers_;
+  /// The one params every power table is built from (life and day alike).
+  telemetry::PowerTableParams table_params_;
   std::vector<telemetry::PowerTable> life_tables_;
   /// Daily-reset logs: the "recent" metric horizon the slowdown check reads.
   std::vector<telemetry::PowerTable> day_tables_;

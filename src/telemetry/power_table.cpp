@@ -11,8 +11,24 @@ PowerTable::PowerTable(PowerTableParams params) : params_(std::move(params)) {
   BAAT_REQUIRE(params_.dr_window.value() > 0.0, "DR window must be positive");
 }
 
+double voltage_soc(const PowerTableParams& params, const SensorReading& reading) {
+  const double ocv_est =
+      reading.voltage.value() + reading.current.value() * params.chemistry.r_internal_ohms;
+  return battery::soc_from_voltage(params.chemistry, util::Volts{ocv_est}, params.ocv_curve);
+}
+
 void PowerTable::record(const SensorReading& reading, Seconds dt) {
+  record(reading, dt, voltage_soc(params_, reading));
+}
+
+void PowerTable::record(const SensorReading& reading, Seconds dt, double soc_v) {
   BAAT_REQUIRE(dt.value() > 0.0, "dt must be positive");
+  if (dt.value() != alpha_dt_) {
+    alpha_dt_ = dt.value();
+    // Per-minute-scale rest blend: anchors fully within a few idle minutes.
+    rest_alpha_ = 1.0 - std::exp(-dt.value() / 300.0);
+    dr_alpha_ = 1.0 - std::exp(-dt.value() / params_.dr_window.value());
+  }
 
   // SoC estimate. Default scheme: rest-anchored coulomb counting, the
   // standard BMS approach the prototype's control server can implement from
@@ -21,11 +37,6 @@ void PowerTable::record(const SensorReading& reading, Seconds dt) {
   // value only when the current is small (under load the ohmic drop of an
   // *aged* cell would bias a pure voltage estimate badly, since the
   // controller only knows the nominal internal resistance).
-  const double ocv_est = reading.voltage.value() +
-                         reading.current.value() * params_.chemistry.r_internal_ohms;
-  const double soc_v = battery::soc_from_voltage(params_.chemistry,
-                                                 util::Volts{ocv_est},
-                                                 params_.ocv_curve);
   if (params_.estimation == SocEstimation::VoltageOnly) {
     soc_estimate_ = soc_v;
   } else {
@@ -34,9 +45,7 @@ void PowerTable::record(const SensorReading& reading, Seconds dt) {
     soc_estimate_ = util::clamp01(soc_estimate_);
     const double rest_threshold = 0.1 * params_.chemistry.capacity_c20.value();
     if (std::fabs(reading.current.value()) < rest_threshold) {
-      // Per-minute-scale blend: anchors fully within a few idle minutes.
-      const double alpha = 1.0 - std::exp(-dt.value() / 300.0);
-      soc_estimate_ += alpha * (soc_v - soc_estimate_);
+      soc_estimate_ += rest_alpha_ * (soc_v - soc_estimate_);
     }
   }
 
@@ -61,9 +70,8 @@ void PowerTable::record(const SensorReading& reading, Seconds dt) {
   if (soc_estimate_ < 0.40) time_below_40_ += dt;
 
   // DR: exponentially weighted discharge current over the configured window.
-  const double alpha = 1.0 - std::exp(-dt.value() / params_.dr_window.value());
   const double discharge = std::max(0.0, i);
-  dr_ewma_ += alpha * (discharge - dr_ewma_);
+  dr_ewma_ += dr_alpha_ * (discharge - dr_ewma_);
 
   last_reading_time_ = reading.time;
 }

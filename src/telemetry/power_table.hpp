@@ -6,6 +6,7 @@
 // measured voltage and current the way the prototype's control server does,
 // never read from the battery's internal state.
 
+#include <limits>
 #include <optional>
 
 #include "battery/chemistry.hpp"
@@ -44,6 +45,10 @@ class PowerTable {
 
   /// Fold one sensor reading covering `dt` into the accumulators.
   void record(const SensorReading& reading, Seconds dt);
+  /// Same, with the reading's voltage-derived SoC already computed as
+  /// voltage_soc(params(), reading), so tables built from one params can
+  /// share that derivation. Bitwise equal to record(reading, dt).
+  void record(const SensorReading& reading, Seconds dt, double soc_from_voltage);
 
   // --- accumulators the metric engine consumes (Eq 1–5 numerators) ---------
   [[nodiscard]] AmpereHours ah_discharged() const { return ah_discharged_; }
@@ -81,6 +86,15 @@ class PowerTable {
   double dr_ewma_ = 0.0;
   double soc_estimate_ = 1.0;
   std::optional<Seconds> last_reading_time_;
+  // Blend weights 1 - exp(-dt/300) and 1 - exp(-dt/dr_window), memoized on
+  // the last dt (same dt → the exact same doubles). Derived, not saved.
+  double alpha_dt_ = std::numeric_limits<double>::quiet_NaN();
+  double rest_alpha_ = 0.0;
+  double dr_alpha_ = 0.0;
 };
+
+/// The SoC a reading implies on its own: the measured voltage plus the
+/// nominal I·R drop, inverted through the params' OCV curve.
+[[nodiscard]] double voltage_soc(const PowerTableParams& params, const SensorReading& reading);
 
 }  // namespace baat::telemetry

@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "battery/battery.hpp"
+#include "battery/chemistry_model.hpp"
 #include "battery/fleet.hpp"
 #include "battery/kibam.hpp"
 #include "battery/thermal.hpp"
 #include "util/fastmath.hpp"
+#include "util/require.hpp"
 
 namespace baat::battery {
 namespace {
@@ -153,27 +155,119 @@ TEST(FleetKernel, BitIdenticalToObjectLoopFaulted) {
   expect_fleet_matches_objects(6.0, true);
 }
 
-TEST(FleetKernel, BatchedIdleStepMatchesPerCellStep) {
-  const LeadAcidParams chem{};
-  const AgingParams aging{};
-  const ThermalParams thermal{};
-  FleetState a{chem, aging, thermal};
-  FleetState b{chem, aging, thermal};
-  for (std::size_t i = 0; i < kCells; ++i) {
-    a.add_cell(1.0, 1.0, 0.3 + 0.1 * static_cast<double>(i));
-    b.add_cell(1.0, 1.0, 0.3 + 0.1 * static_cast<double>(i));
+// --- batched step_cells -------------------------------------------------------
+
+FleetState make_cell_list_fleet(Chemistry kind, MathMode math, std::size_t n) {
+  FleetState fleet{chemistry_model(kind), ThermalParams{}, math};
+  for (std::size_t c = 0; c < n; ++c) {
+    fleet.add_cell(1.0 + 0.001 * static_cast<double>(c % 7),
+                   1.0 + 0.01 * static_cast<double>(c % 5),
+                   0.3 + 0.06 * static_cast<double>(c % 10));
   }
-  std::vector<std::size_t> cells = {0, 2, 3, 5};  // the router's idle subset shape
-  for (long k = 0; k < 2000; ++k) {
-    a.step_cells(cells, Amperes{0.0}, kDt);
-    for (const std::size_t c : cells) b.step_cell(c, Amperes{0.0}, kDt);
+  return fleet;
+}
+
+/// Cell lists of the shapes the router's batched pass produces over a
+/// 27-cell bank: the whole bank, lists with gaps where charging nodes drop
+/// out, runs that start mid-block and cross the 8-cell block and lane
+/// boundaries, an unsorted list, and a lone cell.
+std::vector<std::vector<std::size_t>> cell_lists(std::size_t n) {
+  std::vector<std::vector<std::size_t>> lists(5);
+  for (std::size_t c = 0; c < n; ++c) {
+    lists[0].push_back(c);
+    if (c % 3 != 0) lists[1].push_back(c);
+    if ((c >= 3 && c <= 20) || c >= 22) lists[2].push_back(c);
   }
-  for (std::size_t i = 0; i < kCells; ++i) {
-    EXPECT_EQ(a.cell_soc(i), b.cell_soc(i));
-    EXPECT_EQ(a.cell_temperature(i).value(), b.cell_temperature(i).value());
-    EXPECT_EQ(a.cell_aging_state(i).total(), b.cell_aging_state(i).total());
-    EXPECT_EQ(a.cell_counters(i).time_total.value(), b.cell_counters(i).time_total.value());
+  lists[3] = {26, 0, 9, 10, 11, 12, 13, 14, 15, 16, 17, 5};
+  lists[4] = {7};
+  return lists;
+}
+
+/// Steps the same 27-cell bank through step_cells and through a step_cell
+/// loop over the same lists, with per-cell discharge, charge and 0 A
+/// requests and two open cells, comparing every StepResult and the end
+/// state with exact floating-point equality.
+void expect_step_cells_matches_step_cell(Chemistry kind, MathMode math) {
+  constexpr std::size_t kListCells = 27;
+  FleetState batched = make_cell_list_fleet(kind, math, kListCells);
+  FleetState percell = make_cell_list_fleet(kind, math, kListCells);
+  batched.fail_open_cell(13);
+  percell.fail_open_cell(13);
+  const std::vector<std::vector<std::size_t>> lists = cell_lists(kListCells);
+  std::vector<double> sign(kListCells, 1.0);
+  std::vector<Amperes> req;
+  std::vector<StepResult> res;
+  Mismatch bad;
+  for (long k = 0; k < 3000; ++k) {
+    if (k == 500) {
+      batched.fail_open_cell(20);
+      percell.fail_open_cell(20);
+    }
+    const std::vector<std::size_t>& cells = lists[static_cast<std::size_t>(k) % lists.size()];
+    req.clear();
+    for (const std::size_t c : cells) {
+      const long mix = k * 7 + static_cast<long>(c) * 13;
+      const double amps = mix % 5 == 0 ? 0.0 : 2.0 + 0.5 * static_cast<double>(mix % 24);
+      req.push_back(Amperes{sign[c] * amps});
+    }
+    res.assign(cells.size(), StepResult{});
+    batched.step_cells(cells, req, kDt, res);
+    for (std::size_t j = 0; j < cells.size(); ++j) {
+      const std::size_t c = cells[j];
+      const StepResult r = percell.step_cell(c, req[j], kDt);
+      if (r.actual_current.value() != res[j].actual_current.value() ||
+          r.terminal_voltage.value() != res[j].terminal_voltage.value() ||
+          r.hit_cutoff != res[j].hit_cutoff || r.fully_charged != res[j].fully_charged ||
+          percell.cell_soc(c) != batched.cell_soc(c) ||
+          percell.cell_temperature(c).value() != batched.cell_temperature(c).value()) {
+        bad.note(k);
+      }
+      if (batched.cell_soc(c) < 0.2) sign[c] = -1.0;
+      if (batched.cell_soc(c) > 0.9) sign[c] = 1.0;
+    }
+    if (bad.count > 0) break;
   }
+  EXPECT_EQ(bad.count, 0) << "step_cells and step_cell diverged at tick " << bad.first_tick;
+  for (std::size_t c = 0; c < kListCells; ++c) {
+    EXPECT_EQ(batched.cell_soc(c), percell.cell_soc(c)) << "cell " << c;
+    EXPECT_EQ(batched.cell_temperature(c).value(), percell.cell_temperature(c).value());
+    EXPECT_EQ(batched.cell_aging_state(c).total(), percell.cell_aging_state(c).total());
+    EXPECT_EQ(batched.cell_cycle_damage(c), percell.cell_cycle_damage(c));
+    const UsageCounters& cb = batched.cell_counters(c);
+    const UsageCounters& cp = percell.cell_counters(c);
+    EXPECT_EQ(cb.ah_discharged.value(), cp.ah_discharged.value());
+    EXPECT_EQ(cb.ah_charged.value(), cp.ah_charged.value());
+    EXPECT_EQ(cb.time_total.value(), cp.time_total.value());
+    EXPECT_EQ(cb.time_below_40.value(), cp.time_below_40.value());
+    EXPECT_EQ(cb.full_charge_events, cp.full_charge_events);
+  }
+  // The run must actually have visited both directions and the open cells.
+  EXPECT_GT(batched.cell_counters(0).ah_charged.value(), 0.0);
+  EXPECT_GT(batched.cell_counters(0).ah_discharged.value(), 0.0);
+  EXPECT_EQ(batched.cell_counters(13).ah_discharged.value(), 0.0);
+}
+
+TEST(FleetKernel, StepCellsMatchesStepCellExact) {
+  expect_step_cells_matches_step_cell(Chemistry::LeadAcid, MathMode::Exact);
+}
+
+TEST(FleetKernel, StepCellsMatchesStepCellSimd) {
+  expect_step_cells_matches_step_cell(Chemistry::LeadAcid, MathMode::Simd);
+}
+
+TEST(FleetKernel, StepCellsMatchesStepCellBucket) {
+  expect_step_cells_matches_step_cell(Chemistry::Bucket, MathMode::Simd);
+}
+
+TEST(FleetKernel, StepCellsRejectsMismatchedSpans) {
+  FleetState fleet = make_cell_list_fleet(Chemistry::LeadAcid, MathMode::Simd, 4);
+  const std::vector<std::size_t> cells = {0, 1, 2};
+  std::vector<Amperes> req(2, Amperes{0.0});
+  std::vector<StepResult> res(3);
+  EXPECT_THROW(fleet.step_cells(cells, req, kDt, res), util::PreconditionError);
+  const std::vector<std::size_t> past_end = {2, 3, 4};
+  req.assign(3, Amperes{0.0});
+  EXPECT_THROW(fleet.step_cells(past_end, req, kDt, res), util::PreconditionError);
 }
 
 TEST(FleetKernel, ViewsForwardToFleetState) {

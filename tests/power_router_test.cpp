@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "power/meter.hpp"
@@ -198,6 +200,136 @@ TEST(Router, RejectsBadArguments) {
   EXPECT_THROW(route_power(watts(0.0), demands, bats, order, RouterParams{},
                            minutes(1.0)),
                util::PreconditionError);
+}
+
+// --- batched fleet bank vs standalone objects --------------------------------
+
+bool same_node(const NodeRoute& a, const NodeRoute& b) {
+  return a.demand.value() == b.demand.value() && a.solar_used.value() == b.solar_used.value() &&
+         a.utility_used.value() == b.utility_used.value() &&
+         a.battery_delivered.value() == b.battery_delivered.value() &&
+         a.unmet.value() == b.unmet.value() && a.charge_drawn.value() == b.charge_drawn.value() &&
+         a.battery_current.value() == b.battery_current.value() &&
+         a.battery_cutoff == b.battery_cutoff;
+}
+
+bool same_cell(const battery::Battery& a, const battery::Battery& b) {
+  const battery::AgingState& ga = a.aging_state();
+  const battery::AgingState& gb = b.aging_state();
+  const battery::UsageCounters& ca = a.counters();
+  const battery::UsageCounters& cb = b.counters();
+  bool same = a.soc() == b.soc() && a.temperature().value() == b.temperature().value() &&
+              ga.corrosion == gb.corrosion && ga.shedding == gb.shedding &&
+              ga.sulphation == gb.sulphation && ga.water_loss == gb.water_loss &&
+              ga.stratification == gb.stratification &&
+              ca.ah_discharged.value() == cb.ah_discharged.value() &&
+              ca.ah_charged.value() == cb.ah_charged.value() &&
+              ca.time_total.value() == cb.time_total.value() &&
+              ca.time_below_40.value() == cb.time_below_40.value() &&
+              ca.time_since_full_charge.value() == cb.time_since_full_charge.value() &&
+              ca.full_charge_events == cb.full_charge_events &&
+              ca.min_soc_since_full == cb.min_soc_since_full &&
+              ca.energy_discharged.value() == cb.energy_discharged.value() &&
+              ca.energy_charged.value() == cb.energy_charged.value();
+  for (int r = 0; r < 4; ++r) same = same && ca.ah_by_range[r].value() == cb.ah_by_range[r].value();
+  return same;
+}
+
+/// Routes two days through a bank of views into one shared FleetState (the
+/// router's batched step_cells path) and through standalone Battery objects
+/// with identical cells (its per-object fallback). Every RouteResult and
+/// every cell's state must agree bitwise on every tick. The day mixes
+/// discharging, charging, idle, floor-cut-off and open-cell nodes.
+void expect_fleet_bank_matches_objects(battery::MathMode math, ChargeAllocation allocation) {
+  constexpr std::size_t kNodes = 20;  // two 8-cell blocks plus a tail
+  battery::FleetState fleet{battery::LeadAcidParams{}, battery::AgingParams{},
+                            battery::ThermalParams{}, math};
+  std::vector<battery::Battery> objects;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const double cap = 1.0 + 0.01 * static_cast<double>(i % 5);
+    const double res = 1.0 + 0.02 * static_cast<double>(i % 3);
+    const double soc = 0.35 + 0.03 * static_cast<double>(i);
+    fleet.add_cell(cap, res, soc);
+    objects.emplace_back(battery::LeadAcidParams{}, battery::AgingParams{},
+                         battery::ThermalParams{}, cap, res, soc, math);
+  }
+  std::vector<battery::Battery> views;
+  for (std::size_t i = 0; i < kNodes; ++i) views.emplace_back(fleet, i);
+  views[5].fail_open();
+  objects[5].fail_open();
+
+  std::vector<std::size_t> order = natural_order(kNodes);
+  if (allocation == ChargeAllocation::PriorityOrder) std::reverse(order.begin(), order.end());
+  std::vector<double> floor(kNodes, 0.0);
+  floor[2] = 0.5;
+  floor[6] = 0.45;
+  floor[9] = 0.6;
+  RouterParams params;
+  params.charge_allocation = allocation;
+
+  RouteResult via_fleet;
+  RouteResult via_objects;
+  RouterScratch fleet_scratch;
+  RouterScratch object_scratch;
+  std::vector<util::Watts> demands(kNodes);
+  long mismatches = 0;
+  long first_mismatch = -1;
+  long discharging = 0, charging = 0, idle = 0, floor_cut = 0, open_unmet = 0;
+  const util::Seconds dt = minutes(1.0);
+  for (long k = 0; k < 2 * 1440; ++k) {
+    if (k == 1700) {  // an open-cell failure mid-run, inside the second block
+      views[12].fail_open();
+      objects[12].fail_open();
+    }
+    const double hour = static_cast<double>(k % 1440) / 60.0;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const bool off = i % 4 == 3 || (hour >= 20.0 && i % 2 == 0);
+      demands[i] = watts(off ? 0.0 : 30.0 + 8.0 * static_cast<double>(i % 5));
+    }
+    const double sun = std::max(0.0, std::sin(3.14159265358979 * (hour - 6.0) / 12.0));
+    const util::Watts solar = watts(1200.0 * sun);
+    route_power_into(solar, demands, views, order, params, dt, floor, via_fleet, fleet_scratch);
+    route_power_into(solar, demands, objects, order, params, dt, floor, via_objects,
+                     object_scratch);
+
+    bool same = via_fleet.solar_available.value() == via_objects.solar_available.value() &&
+                via_fleet.solar_curtailed.value() == via_objects.solar_curtailed.value() &&
+                via_fleet.utility_drawn.value() == via_objects.utility_drawn.value();
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      same = same && same_node(via_fleet.nodes[i], via_objects.nodes[i]) &&
+             same_cell(views[i], objects[i]);
+      const NodeRoute& node = via_fleet.nodes[i];
+      if (node.battery_delivered.value() > 0.0) ++discharging;
+      if (node.charge_drawn.value() > 0.0) ++charging;
+      if (node.battery_current.value() == 0.0 && !node.battery_cutoff) ++idle;
+      if (node.battery_cutoff && floor[i] > 0.0 && views[i].soc() <= floor[i]) ++floor_cut;
+      if ((i == 5 || i == 12) && node.unmet.value() > 0.0) ++open_unmet;
+    }
+    if (!same && mismatches++ == 0) first_mismatch = k;
+  }
+  EXPECT_EQ(mismatches, 0) << "shared-fleet and standalone banks diverged at tick "
+                           << first_mismatch;
+  EXPECT_GT(discharging, 0);
+  EXPECT_GT(charging, 0);
+  EXPECT_GT(idle, 0);
+  EXPECT_GT(floor_cut, 0);
+  EXPECT_GT(open_unmet, 0);
+}
+
+TEST(Router, FleetBankMatchesObjectsExactProportional) {
+  expect_fleet_bank_matches_objects(battery::MathMode::Exact, ChargeAllocation::Proportional);
+}
+
+TEST(Router, FleetBankMatchesObjectsExactPriorityOrder) {
+  expect_fleet_bank_matches_objects(battery::MathMode::Exact, ChargeAllocation::PriorityOrder);
+}
+
+TEST(Router, FleetBankMatchesObjectsSimdProportional) {
+  expect_fleet_bank_matches_objects(battery::MathMode::Simd, ChargeAllocation::Proportional);
+}
+
+TEST(Router, FleetBankMatchesObjectsSimdPriorityOrder) {
+  expect_fleet_bank_matches_objects(battery::MathMode::Simd, ChargeAllocation::PriorityOrder);
 }
 
 TEST(Meter, AccumulatesAndReportsUtilization) {

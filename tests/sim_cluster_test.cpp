@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "obs/obs.hpp"
 #include "sim/cluster.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario.hpp"
 #include "util/require.hpp"
+#include "util/sim_clock.hpp"
 
 namespace baat::sim {
 namespace {
@@ -35,6 +40,50 @@ TEST(Scenario, DefaultJobsCoverAllSixWorkloads) {
   // Arrivals are staggered, biggest footprints first (anti-fragmentation).
   EXPECT_LT(jobs[0].arrival.value(), jobs[5].arrival.value());
   EXPECT_EQ(jobs[0].kind, workload::Kind::SoftwareTesting);
+}
+
+TEST(Cluster, QueuedJobsRetryAndDeployInArrivalOrder) {
+  // The window opens before dawn on empty batteries, so every node browns
+  // out within minutes and the day's jobs pile up in the retry queue. When
+  // the sun brings the nodes back, the queue is retried in arrival order on
+  // each window tick: jobs that fit deploy, the rest keep their places.
+  ScenarioConfig cfg = quick_config();
+  cfg.nodes = 3;
+  cfg.day_start = util::hours(5.0);
+  cfg.daily_jobs.clear();
+  for (int j = 0; j < 12; ++j) {
+    cfg.daily_jobs.push_back(JobSpec{workload::kAllKinds[j % 6], util::minutes(10.0 * j)});
+  }
+  obs::Registry& reg = obs::global_registry();
+  obs::TraceBuffer& trace = obs::global_trace();
+  obs::set_profiling_enabled(false);
+  obs::set_trace_enabled(true);
+  reg.reset();
+  trace.clear();
+  Cluster c{cfg};
+  for (battery::Battery& b : c.batteries_mutable()) b.debug_set_soc(0.02);
+  (void)c.run_day(solar::DayType::Sunny);
+  obs::set_trace_enabled(false);
+  util::set_sim_time(-1.0);
+
+  std::vector<std::string> queued;
+  std::vector<std::string> deployed;  // "kind->node/vm" after the queue formed
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.kind == obs::EventKind::JobQueued) queued.push_back(e.detail);
+    if (e.kind == obs::EventKind::JobDeploy && !queued.empty()) {
+      deployed.push_back(e.detail + "->" + std::to_string(e.node) + "/" +
+                         std::to_string(static_cast<long>(e.value)));
+    }
+  }
+  ASSERT_EQ(queued.size(), 11u);
+  // Pinned from the queue semantics above (retry order, first fit wins).
+  const std::vector<std::string> expected = {
+      "KMeansClustering->1/1", "WordCount->2/2",   "SoftwareTesting->0/3",
+      "WebServing->2/4",       "NutchIndexing->1/5", "WordCount->2/6"};
+  EXPECT_EQ(deployed, expected);
+  const obs::Counter* retries = reg.find_counter("sim.vm_deploy_retries");
+  ASSERT_NE(retries, nullptr);
+  EXPECT_EQ(retries->value(), 4951.0);
 }
 
 TEST(Cluster, ConstructionBuildsFleet) {

@@ -147,6 +147,75 @@ TEST(PowerTable, LastReadingTimeSurvivesCheckpoint) {
   EXPECT_DOUBLE_EQ(seen_back.last_reading_time()->value(), 4321.0);
 }
 
+void expect_same_accumulators(const PowerTable& a, const PowerTable& b) {
+  EXPECT_EQ(a.ah_discharged().value(), b.ah_discharged().value());
+  EXPECT_EQ(a.ah_charged().value(), b.ah_charged().value());
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(a.ah_in_range(r).value(), b.ah_in_range(r).value()) << "range " << r;
+  }
+  EXPECT_EQ(a.time_total().value(), b.time_total().value());
+  EXPECT_EQ(a.time_below_40().value(), b.time_below_40().value());
+  EXPECT_EQ(a.recent_discharge_amps(), b.recent_discharge_amps());
+  EXPECT_EQ(a.estimated_soc(), b.estimated_soc());
+}
+
+/// Reading k of a sequence that alternates rest (the SoC blend runs) and
+/// load (only the DR window runs), in both directions.
+SensorReading varied_reading(long k) {
+  constexpr double kAmps[] = {0.5, 8.0, -2.0, 0.0, 12.0, 1.0, -6.0};
+  SensorReading r;
+  r.current = amperes(kAmps[k % 7]);
+  r.voltage = util::Volts{12.0 + 0.1 * static_cast<double>(k % 9)};
+  r.time = util::Seconds{60.0 * static_cast<double>(k)};
+  return r;
+}
+
+TEST(PowerTable, MemoizedBlendWeightsMatchFreshTableAcrossVaryingDt) {
+  // The per-dt blend weights are memoized on the last dt. Each step, a
+  // fresh table restored from the long-lived one's state (its memo cold)
+  // must fold the same reading into bit-identical accumulators, whether dt
+  // repeats or changes.
+  constexpr double kDts[] = {60.0, 60.0, 30.0, 30.0, 90.0, 60.0, 1.0, 1.0, 600.0, 60.0};
+  PowerTable memo = make_table();
+  for (long k = 0; k < 70; ++k) {
+    snapshot::SnapshotWriter w;
+    memo.save_state(w);
+    snapshot::SnapshotReader rd{w.bytes()};
+    PowerTable fresh = make_table();
+    fresh.load_state(rd);
+    const util::Seconds dt{kDts[k % 10]};
+    memo.record(varied_reading(k), dt);
+    fresh.record(varied_reading(k), dt);
+    expect_same_accumulators(memo, fresh);
+  }
+  EXPECT_GT(memo.recent_discharge_amps(), 0.0);
+}
+
+TEST(PowerTable, SharedVoltageSocMatchesIndependentRecords) {
+  // Two tables built from one params (the life and the daily-reset table)
+  // can share one voltage_soc per reading; that must equal each table
+  // deriving it on its own, in both estimation schemes.
+  for (const SocEstimation mode : {SocEstimation::RestAnchoredCoulomb, SocEstimation::VoltageOnly}) {
+    PowerTableParams p;
+    p.estimation = mode;
+    PowerTable life_own{p}, day_own{p}, life_shared{p}, day_shared{p};
+    for (long k = 0; k < 200; ++k) {
+      if (k == 120) {  // the daily table starts a new day
+        day_own = PowerTable{p};
+        day_shared = PowerTable{p};
+      }
+      const SensorReading r = varied_reading(k);
+      life_own.record(r, minutes(1.0));
+      day_own.record(r, minutes(1.0));
+      const double soc_v = voltage_soc(p, r);
+      life_shared.record(r, minutes(1.0), soc_v);
+      day_shared.record(r, minutes(1.0), soc_v);
+    }
+    expect_same_accumulators(life_own, life_shared);
+    expect_same_accumulators(day_own, day_shared);
+  }
+}
+
 TEST(Metrics, FreshTableIsNeutral) {
   PowerTable t = make_table();
   const AgingMetrics m = compute_metrics(t, MetricParams{});
