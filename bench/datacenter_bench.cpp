@@ -20,15 +20,19 @@
 // Each row also reports sim-days/hour and the projected wall-clock for one
 // simulated year, which is how the flagship config's "a year of 100k cells
 // is an overnight run, not a cluster job" claim is tracked (see
-// EXPERIMENTS.md). After the timed days each row writes one sectioned
-// checkpoint (save_shard_sections) and reports its size per node, which
-// tools/perf_gate.py bounds.
+// EXPERIMENTS.md). After the timed days each row writes a sectioned
+// checkpoint (save_shard_sections) five times and resumes a freshly built
+// Datacenter from it five times (construction untimed), keeping the fastest
+// of each. It reports the size per node and the save and resume cost per
+// checkpoint byte, all of which tools/perf_gate.py bounds. The resumed
+// datacenter must re-save to the same bytes, or the bench fails.
 //
-// Methodology matches kernel_bench: only Datacenter::run_day is timed (one
-// segment per simulated day, min-over-days rejects background noise), the
-// JSON carries the same calibration scalar, and tools/perf_gate.py compares
-// machine-normalized ns/node-tick under the ns_per_cell_tick key plus a
-// within-run sharding-tax rule (dc_100k_16shard vs dc_ref_6250).
+// Methodology matches kernel_bench: ns/node-tick times only
+// Datacenter::run_day (one segment per simulated day, min-over-days rejects
+// background noise), the JSON carries the same calibration scalar, and
+// tools/perf_gate.py compares machine-normalized ns/node-tick under the
+// ns_per_cell_tick key plus a within-run sharding-tax rule
+// (dc_100k_16shard vs dc_ref_6250).
 //
 // Usage: datacenter_bench [--quick] [--out <path>]
 //   --quick   tiny configs — the ctest smoke mode. Numbers are noisy;
@@ -44,6 +48,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <string>
@@ -127,24 +132,69 @@ struct BenchResult {
   double year_projection_s = 0.0;  ///< projected wall-clock for 365 days
   double allocs_per_node_tick = 0.0;
   double checkpoint_bytes_per_node = 0.0;  ///< sectioned checkpoint size / nodes
+  double checkpoint_ns_per_byte = 0.0;     ///< fastest save / checkpoint bytes
+  double resume_ns_per_byte = 0.0;         ///< fastest resume / checkpoint bytes
   double health_sink = 0.0;  ///< min health after the run — result checksum
 };
 
-/// Size of the per-shard checkpoint sections save_shard_sections writes for
-/// `dc`, in bytes. The file goes to the system temp directory and is
-/// removed again; only its size is kept.
-double checkpoint_bytes(const sim::Datacenter& dc, const char* name) {
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() /
-      (std::string("datacenter_bench_") + name + ".ckpt");
-  {
-    snapshot::SectionFileWriter out(path.string(), 0, dc.shard_count());
-    dc.save_shard_sections(out);
-    out.commit();
+struct CheckpointCost {
+  double bytes = 0.0;
+  double save_ns = 0.0;    ///< min over kCheckpointReps saves
+  double resume_ns = 0.0;  ///< min over kCheckpointReps resumes
+};
+
+constexpr int kCheckpointReps = 5;
+
+void save_sections(const sim::Datacenter& dc, const std::string& path) {
+  snapshot::SectionFileWriter out(path, 0, dc.shard_count());
+  dc.save_shard_sections(out);
+  out.commit();
+}
+
+std::vector<char> file_contents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Saves the per-shard checkpoint sections of `dc` and resumes fresh
+/// datacenters built from `cfg` from them. The files go to the system temp
+/// directory and are removed again.
+CheckpointCost checkpoint_cost(const sim::Datacenter& dc, const sim::DatacenterConfig& cfg,
+                               const char* name) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            (std::string("datacenter_bench_") + name + ".ckpt"))
+                               .string();
+  CheckpointCost cost;
+  cost.save_ns = std::numeric_limits<double>::infinity();
+  cost.resume_ns = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kCheckpointReps; ++rep) {
+    const auto t0 = Clock::now();
+    save_sections(dc, path);
+    cost.save_ns = std::min(cost.save_ns, elapsed_ns(t0, Clock::now()));
   }
-  const auto bytes = static_cast<double>(std::filesystem::file_size(path));
+  cost.bytes = static_cast<double>(std::filesystem::file_size(path));
+  for (int rep = 0; rep < kCheckpointReps; ++rep) {
+    sim::Datacenter fresh{cfg};
+    const auto t0 = Clock::now();
+    snapshot::SectionFileReader in(path, 0);
+    fresh.load_shard_sections(in);
+    in.finish();
+    fresh.resume_at_day(dc.days_run());
+    cost.resume_ns = std::min(cost.resume_ns, elapsed_ns(t0, Clock::now()));
+    if (rep == 0) {
+      const std::string resaved = path + ".resaved";
+      save_sections(fresh, resaved);
+      const bool same = file_contents(path) == file_contents(resaved);
+      std::filesystem::remove(resaved);
+      if (!same) {
+        std::fprintf(stderr, "datacenter_bench: %s: the resumed datacenter re-saves to "
+                     "different checkpoint bytes\n", name);
+        std::exit(1);
+      }
+    }
+  }
   std::filesystem::remove(path);
-  return bytes;
+  return cost;
 }
 
 /// Times `days` calls of Datacenter::run_day (alternating weather so the
@@ -206,8 +256,10 @@ BenchResult bench_datacenter(const char* name, std::size_t shards,
   r.allocs_per_node_tick =
       static_cast<double>(allocs) /
       (node_ticks_per_day * static_cast<double>(days));
-  r.checkpoint_bytes_per_node =
-      checkpoint_bytes(dc, name) / static_cast<double>(dc.node_count());
+  const CheckpointCost ckpt = checkpoint_cost(dc, cfg, name);
+  r.checkpoint_bytes_per_node = ckpt.bytes / static_cast<double>(dc.node_count());
+  r.checkpoint_ns_per_byte = ckpt.save_ns / ckpt.bytes;
+  r.resume_ns_per_byte = ckpt.resume_ns / ckpt.bytes;
   r.health_sink = min_health;
   return r;
 }
@@ -220,7 +272,7 @@ void write_json(const std::string& path, double calib,
                  path.c_str());
     std::exit(1);
   }
-  char buf[320];
+  char buf[448];
   out << "{\n";
   std::snprintf(buf, sizeof buf, "  \"calibration_ns\": %.0f,\n", calib);
   out << buf;
@@ -234,10 +286,12 @@ void write_json(const std::string& path, double calib,
                   "\"workers\": %zu, \"days\": %ld, "
                   "\"ns_per_cell_tick\": %.3f, \"sim_days_per_hour\": %.1f, "
                   "\"year_projection_s\": %.1f, \"allocs_per_tick\": %.4f, "
-                  "\"checkpoint_bytes_per_node\": %.1f}%s\n",
+                  "\"checkpoint_bytes_per_node\": %.1f, "
+                  "\"checkpoint_ns_per_byte\": %.3f, \"resume_ns_per_byte\": %.3f}%s\n",
                   r.name.c_str(), r.shards, r.nodes, r.workers, r.days,
                   r.ns_per_node_tick, r.sim_days_per_hour, r.year_projection_s,
                   r.allocs_per_node_tick, r.checkpoint_bytes_per_node,
+                  r.checkpoint_ns_per_byte, r.resume_ns_per_byte,
                   i + 1 < results.size() ? "," : "");
     out << buf;
   }
@@ -293,10 +347,11 @@ int main(int argc, char** argv) {
     std::printf(
         "%-16s shards=%-3zu nodes=%-7zu workers=%zu  ns/node-tick=%8.2f  "
         "sim-days/h=%8.1f  year=%7.0fs  allocs/node-tick=%.4f  ckpt B/node=%.0f  "
-        "(min health %.6f)\n",
+        "save ns/B=%.2f  resume ns/B=%.2f  (min health %.6f)\n",
         r.name.c_str(), r.shards, r.nodes, r.workers, r.ns_per_node_tick,
         r.sim_days_per_hour, r.year_projection_s, r.allocs_per_node_tick,
-        r.checkpoint_bytes_per_node, r.health_sink);
+        r.checkpoint_bytes_per_node, r.checkpoint_ns_per_byte, r.resume_ns_per_byte,
+        r.health_sink);
   }
 
   write_json(out_path, calib, results);

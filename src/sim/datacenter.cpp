@@ -166,8 +166,11 @@ void Datacenter::merge_metrics_into(obs::Registry& target) const {
 }
 
 void Datacenter::save_shard_sections(snapshot::SectionFileWriter& out) const {
+  // One buffer for every shard: clear() keeps its capacity, and append()
+  // has consumed the bytes before the next shard overwrites them.
+  snapshot::SnapshotWriter w;
   for (const std::unique_ptr<Shard>& s : shards_) {
-    snapshot::SnapshotWriter w;
+    w.clear();
     s->solar_rng.save_state(w);
     s->registry.save_state(w);
     s->cluster->save_state(w);

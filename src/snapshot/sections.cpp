@@ -1,5 +1,6 @@
 #include "snapshot/sections.hpp"
 
+#include <array>
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
@@ -18,6 +19,9 @@ constexpr std::size_t kSectionPrefixSize = 12;  // u64 size + u32 crc
 SectionFileWriter::SectionFileWriter(std::string path, std::uint64_t config_hash,
                                      std::uint64_t section_count)
     : path_(std::move(path)), tmp_(path_ + ".tmp"), declared_(section_count) {
+  // Unbuffered: staged_ already batches, and a second copy through the
+  // stream's own buffer would buy nothing. Must be set before open().
+  out_.rdbuf()->pubsetbuf(nullptr, 0);
   out_.open(tmp_, std::ios::binary | std::ios::trunc);
   if (!out_) {
     throw SnapshotError("cannot open '" + tmp_ + "' for writing");
@@ -27,11 +31,8 @@ SectionFileWriter::SectionFileWriter(std::string path, std::uint64_t config_hash
   header.write_u32(kSectionFormatVersion);
   header.write_u64(config_hash);
   header.write_u64(section_count);
-  out_.write(reinterpret_cast<const char*>(header.bytes().data()),
-             static_cast<std::streamsize>(header.size()));
-  if (!out_) {
-    throw SnapshotError("I/O error writing snapshot header to '" + tmp_ + "'");
-  }
+  staged_.reserve(kStageBytes);
+  staged_.insert(staged_.end(), header.bytes().begin(), header.bytes().end());
 }
 
 SectionFileWriter::~SectionFileWriter() {
@@ -40,6 +41,11 @@ SectionFileWriter::~SectionFileWriter() {
     std::error_code ignore;
     std::filesystem::remove(tmp_, ignore);
   }
+}
+
+void SectionFileWriter::write_out(std::span<const std::uint8_t> bytes) {
+  out_.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
 }
 
 void SectionFileWriter::append(std::span<const std::uint8_t> payload) {
@@ -53,11 +59,18 @@ void SectionFileWriter::append(std::span<const std::uint8_t> payload) {
   SnapshotWriter prefix;
   prefix.write_u64(payload.size());
   prefix.write_u32(crc32(payload));
-  out_.write(reinterpret_cast<const char*>(prefix.bytes().data()),
-             static_cast<std::streamsize>(prefix.size()));
-  out_.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
-  out_.flush();
+  const std::size_t section_bytes = kSectionPrefixSize + payload.size();
+  if (staged_.size() + section_bytes > kStageBytes) {
+    write_out(staged_);
+    staged_.clear();
+  }
+  if (section_bytes <= kStageBytes) {
+    staged_.insert(staged_.end(), prefix.bytes().begin(), prefix.bytes().end());
+    staged_.insert(staged_.end(), payload.begin(), payload.end());
+  } else {
+    write_out(prefix.bytes());
+    write_out(payload);
+  }
   if (!out_) {
     throw SnapshotError("I/O error writing snapshot section " + std::to_string(written_) +
                         " to '" + tmp_ + "'");
@@ -73,7 +86,8 @@ void SectionFileWriter::commit() {
     throw SnapshotError("snapshot '" + path_ + "' declared " + std::to_string(declared_) +
                         " sections but only " + std::to_string(written_) + " were appended");
   }
-  out_.flush();
+  write_out(staged_);
+  staged_.clear();
   out_.close();
   if (out_.fail()) {
     std::error_code ignore;
@@ -96,7 +110,7 @@ SectionFileReader::SectionFileReader(std::string path, std::uint64_t expected_co
   if (!in_) {
     throw SnapshotError("cannot open snapshot file '" + path_ + "'");
   }
-  std::vector<std::uint8_t> raw(kSectHeaderSize);
+  std::array<std::uint8_t, kSectHeaderSize> raw{};
   in_.read(reinterpret_cast<char*>(raw.data()), static_cast<std::streamsize>(raw.size()));
   if (in_.gcount() != static_cast<std::streamsize>(kSectHeaderSize)) {
     throw SnapshotError("snapshot file '" + path_ + "' is truncated: " +
@@ -138,7 +152,7 @@ std::vector<std::uint8_t> SectionFileReader::read_section() {
                         std::to_string(header_.section_count) +
                         " sections but more were requested");
   }
-  std::vector<std::uint8_t> prefix(kSectionPrefixSize);
+  std::array<std::uint8_t, kSectionPrefixSize> prefix{};
   in_.read(reinterpret_cast<char*>(prefix.data()), static_cast<std::streamsize>(prefix.size()));
   if (in_.gcount() != static_cast<std::streamsize>(kSectionPrefixSize)) {
     throw SnapshotError("snapshot file '" + path_ + "' is truncated in section " +

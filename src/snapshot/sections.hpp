@@ -26,6 +26,7 @@
 // write_snapshot_file: a crash mid-checkpoint leaves the previous
 // checkpoint intact, never a half-written file.
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <span>
@@ -60,17 +61,30 @@ class SectionFileWriter {
   SectionFileWriter(const SectionFileWriter&) = delete;
   SectionFileWriter& operator=(const SectionFileWriter&) = delete;
 
-  /// Appends one section (size + CRC + payload) and flushes it to the OS.
+  /// Appends one section (size + CRC + payload). Small sections are staged
+  /// and written out in batches of up to kStageBytes; an I/O error is
+  /// reported naming the section.
   void append(std::span<const std::uint8_t> payload);
 
-  /// Validates that exactly `section_count` sections were appended, then
-  /// atomically renames the tmp file over the target path.
+  /// Validates that exactly `section_count` sections were appended, writes
+  /// out what is staged and checks the stream once, then atomically renames
+  /// the tmp file over the target path.
   void commit();
 
  private:
+  /// A shard section is a few KB, so one write call per section would
+  /// dominate the I/O; sections are staged up to this many bytes instead.
+  /// A 64 KiB std::filebuf buffer does not do this: libstdc++ sends every
+  /// write of 1 KiB or more straight to the OS, so it still makes one
+  /// system call per section.
+  static constexpr std::size_t kStageBytes = 64 * 1024;
+
+  void write_out(std::span<const std::uint8_t> bytes);
+
   std::string path_;
   std::string tmp_;
   std::ofstream out_;
+  std::vector<std::uint8_t> staged_;  ///< header/sections not yet written
   std::uint64_t declared_ = 0;
   std::uint64_t written_ = 0;
   bool committed_ = false;

@@ -18,9 +18,11 @@
 #include "battery/ledger.hpp"
 #include "fault/injector.hpp"
 #include "obs/obs.hpp"
+#include "sim/datacenter.hpp"
 #include "sim/experiment.hpp"
 #include "sim/multiday.hpp"
 #include "sim/sweep.hpp"
+#include "snapshot/sections.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/require.hpp"
 #include "util/sim_clock.hpp"
@@ -252,6 +254,90 @@ TEST(CheckpointSize, ClusterStateStaysBoundedPerNode) {
       cfg.nodes * battery::OnlineRainflow::kStackDepth * sizeof(double));
   EXPECT_NEAR(after_ten, after_one, rainflow_slack);
   EXPECT_LT(after_ten / static_cast<double>(cfg.nodes), 2048.0);
+}
+
+// The sectioned checkpoint of a fixed 4-shard x 6-node datacenter after two
+// faulted days, pinned by size and CRC-32. The values pin both the on-disk
+// format and this scenario's trajectory, so a change to the day loop, a
+// policy or the RNG streams moves them too; either case needs a deliberate
+// update here, and only a format change also needs a kSectionFormatVersion
+// bump. A faster codec, CRC or write path must reproduce these bytes exactly.
+constexpr std::uintmax_t kPinnedSectionFileBytes = 29076;
+constexpr std::uint32_t kPinnedSectionFileCrc = 0x33629ED0u;
+
+DatacenterConfig pinned_datacenter(std::size_t workers) {
+  DatacenterConfig cfg;
+  cfg.scenario = small_scenario(/*faulted=*/true);
+  cfg.scenario.nodes = 6;
+  cfg.shards = 4;
+  cfg.workers = workers;
+  return cfg;
+}
+
+/// Runs the pinned datacenter for two days and writes its shard sections.
+void write_pinned_checkpoint(std::size_t workers, const std::string& path) {
+  util::set_sim_time(0.0);
+  Datacenter dc{pinned_datacenter(workers)};
+  (void)dc.run_day(solar::DayType::Sunny);
+  (void)dc.run_day(solar::DayType::Cloudy);
+  snapshot::SectionFileWriter out(path, 0x5EC7, dc.shard_count());
+  dc.save_shard_sections(out);
+  out.commit();
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string day_signature(const DayResult& d) {
+  snapshot::SnapshotWriter w;
+  save_state(w, d);
+  return {w.bytes().begin(), w.bytes().end()};
+}
+
+TEST(SectionedCheckpoint, FormatPinnedBySizeAndCrc) {
+  CheckpointDir dir{"sect_pinned"};
+  const std::string path = dir.path() + "/dc.sect";
+  write_pinned_checkpoint(1, path);
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  EXPECT_EQ(bytes.size(), kPinnedSectionFileBytes);
+  EXPECT_EQ(snapshot::crc32(bytes), kPinnedSectionFileCrc);
+}
+
+TEST(SectionedCheckpoint, FilesByteIdenticalAtAnyWorkerCount) {
+  CheckpointDir dir{"sect_workers"};
+  write_pinned_checkpoint(1, dir.path() + "/w1.sect");
+  const std::vector<std::uint8_t> base = read_file(dir.path() + "/w1.sect");
+  ASSERT_FALSE(base.empty());
+  for (std::size_t workers : {2u, 4u, 7u}) {
+    const std::string path = dir.path() + "/w" + std::to_string(workers) + ".sect";
+    write_pinned_checkpoint(workers, path);
+    EXPECT_EQ(read_file(path), base) << workers << " workers";
+  }
+}
+
+TEST(SectionedCheckpoint, ResumeAtAnyWorkerCountReplaysTheSameNextDay) {
+  CheckpointDir dir{"sect_resume"};
+  const std::string path = dir.path() + "/dc.sect";
+  write_pinned_checkpoint(4, path);
+
+  util::set_sim_time(0.0);
+  Datacenter straight{pinned_datacenter(1)};
+  (void)straight.run_day(solar::DayType::Sunny);
+  (void)straight.run_day(solar::DayType::Cloudy);
+  const std::string uninterrupted = day_signature(straight.run_day(solar::DayType::Rainy));
+
+  for (std::size_t workers : {1u, 4u}) {
+    util::set_sim_time(0.0);
+    Datacenter resumed{pinned_datacenter(workers)};
+    snapshot::SectionFileReader in(path, 0x5EC7);
+    resumed.load_shard_sections(in);
+    in.finish();
+    resumed.resume_at_day(2);
+    EXPECT_EQ(day_signature(resumed.run_day(solar::DayType::Rainy)), uninterrupted)
+        << "resumed at " << workers << " workers";
+  }
 }
 
 TEST(CheckpointResume, FinalDayWritesNoPointlessSnapshot) {

@@ -122,6 +122,159 @@ TEST(Serialize, Crc32KnownAnswer) {
   EXPECT_EQ(crc32(std::vector<std::uint8_t>{}), 0u);
 }
 
+/// Bytewise CRC-32 (one table lookup per byte), kept here as the reference
+/// the production slicing-by-8 loop must match exactly.
+std::uint32_t crc32_bytewise_step(std::uint32_t c, std::uint8_t b) {
+  c ^= b;
+  for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  return c;
+}
+
+TEST(Serialize, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLen = 4097;
+  std::vector<std::uint8_t> buf(kMaxLen + 8);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (std::uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    // The reference runs once per start offset; its state after `len`
+    // bytes is the CRC of the first `len` bytes.
+    std::uint32_t ref = 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::uint8_t> bytes(buf.data() + start, len);
+      ASSERT_EQ(crc32(bytes), ref ^ 0xFFFFFFFFu) << "start " << start << " length " << len;
+      if (len < kMaxLen) ref = crc32_bytewise_step(ref, buf[start + len]);
+    }
+  }
+}
+
+TEST(Serialize, WriterGoldenBytes) {
+  // The on-disk layout, pinned byte for byte: little-endian scalars, raw
+  // IEEE-754 bits, u64 length prefixes and one byte per bool.
+  using Bytes = std::vector<std::uint8_t>;
+  const auto bytes_of = [](auto&& write) {
+    SnapshotWriter w;
+    write(w);
+    return w.bytes();
+  };
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_u8(0xAB); }), (Bytes{0xAB}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_u32(0x01020304u); }),
+            (Bytes{0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_u64(0x0102030405060708ull); }),
+            (Bytes{0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_i64(-2); }),
+            (Bytes{0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_f64(1.0); }),
+            (Bytes{0, 0, 0, 0, 0, 0, 0xF0, 0x3F}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_f64(-0.0); }),
+            (Bytes{0, 0, 0, 0, 0, 0, 0, 0x80}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) {
+              w.write_f64(std::bit_cast<double>(std::uint64_t{0x7FF8DEADBEEF0001ull}));
+            }),
+            (Bytes{0x01, 0x00, 0xEF, 0xBE, 0xAD, 0xDE, 0xF8, 0x7F}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) {
+              w.write_bool(true);
+              w.write_bool(false);
+            }),
+            (Bytes{1, 0}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_string("ab"); }),
+            (Bytes{2, 0, 0, 0, 0, 0, 0, 0, 'a', 'b'}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_f64_vec({2.0, -0.0}); }),
+            (Bytes{2, 0, 0, 0, 0, 0, 0, 0,  //
+                   0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_u64_vec({0x0102u}); }),
+            (Bytes{1, 0, 0, 0, 0, 0, 0, 0, 0x02, 0x01, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_u8_vec({7, 0xFF}); }),
+            (Bytes{2, 0, 0, 0, 0, 0, 0, 0, 7, 0xFF}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_bool_vec({true, false, true}); }),
+            (Bytes{3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1}));
+  EXPECT_EQ(bytes_of([](SnapshotWriter& w) { w.write_f64_vec({}); }), (Bytes(8, 0)));
+}
+
+TEST(Serialize, ClearKeepsNoBytesAndWritesAfresh) {
+  SnapshotWriter w;
+  w.write_u64_vec({1, 2, 3});
+  w.clear();
+  EXPECT_EQ(w.size(), 0u);
+  w.write_u32(5);
+  EXPECT_EQ(w.bytes(), (std::vector<std::uint8_t>{5, 0, 0, 0}));
+}
+
+TEST(Serialize, TruncationAtEveryPrefixNamesTheOffset) {
+  // One of every read, cut at every length: each prefix must throw the
+  // message a user sees today, naming the byte offset where the read
+  // failed. `fields` models the layout so the expected text is computed,
+  // not copied from the implementation.
+  struct Field {
+    std::size_t size;      ///< scalar size, or 8 for a sequence's length prefix
+    std::size_t elements;  ///< 0 for a scalar
+    std::size_t elem_size;
+  };
+  SnapshotWriter w;
+  w.write_u8(1);
+  w.write_u32(2);
+  w.write_u64(3);
+  w.write_i64(-4);
+  w.write_f64(0.5);
+  w.write_bool(true);
+  w.write_string("xyz");
+  w.write_f64_vec({1.0, 2.0});
+  w.write_u64_vec({9});
+  w.write_u8_vec({1, 2});
+  w.write_bool_vec({true, false, true});
+  const std::vector<Field> fields = {{1, 0, 0}, {4, 0, 0}, {8, 0, 0}, {8, 0, 0},
+                                     {8, 0, 0}, {1, 0, 0}, {8, 3, 1}, {8, 2, 8},
+                                     {8, 1, 8}, {8, 2, 1}, {8, 3, 1}};
+  const auto read_all = [](SnapshotReader& r) {
+    r.read_u8();
+    r.read_u32();
+    r.read_u64();
+    r.read_i64();
+    r.read_f64();
+    r.read_bool();
+    r.read_string();
+    r.read_f64_vec();
+    r.read_u64_vec();
+    r.read_u8_vec();
+    r.read_bool_vec();
+  };
+  const std::vector<std::uint8_t>& full = w.bytes();
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    std::string expected;
+    std::size_t at = 0;
+    for (const Field& f : fields) {
+      if (at + f.size > len) {
+        expected = "snapshot truncated: need " + std::to_string(f.size) + " bytes at offset " +
+                   std::to_string(at) + " but only " + std::to_string(len - at) + " remain";
+        break;
+      }
+      at += f.size;
+      if (f.elements * f.elem_size > len - at) {
+        expected = "snapshot corrupted: sequence of " + std::to_string(f.elements) +
+                   " elements at offset " + std::to_string(at) +
+                   " exceeds the bytes remaining in the payload";
+        break;
+      }
+      at += f.elements * f.elem_size;
+    }
+    ASSERT_FALSE(expected.empty()) << "model covers " << at << " of " << full.size();
+    SnapshotReader r{std::span<const std::uint8_t>(full.data(), len)};
+    try {
+      read_all(r);
+      FAIL() << "truncation to " << len << " bytes went unnoticed";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << "prefix length " << len;
+    }
+  }
+  SnapshotReader r{full};
+  read_all(r);
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(SnapshotFile, RoundTripAndHeader) {
   const std::string path = temp_path("roundtrip.snap");
   SnapshotWriter w;
@@ -332,6 +485,43 @@ TEST(SectionFile, RoundTripsSectionsInOrder) {
   EXPECT_EQ(r.read_section(), payload_of({1, 2, 3}));
   EXPECT_EQ(r.read_section(), payload_of({}));
   EXPECT_EQ(r.read_section(), payload_of({9, 8, 7, 6}));
+  r.finish();
+  fs::remove(path);
+}
+
+TEST(SectionFile, BatchedWritesLayOutEverySectionInOrder) {
+  // Many small sections, one past any staging size and an empty one: the
+  // file must be exactly header + (size, CRC, payload) per section, the
+  // same bytes whether a section was staged or written straight through.
+  std::vector<std::vector<std::uint8_t>> sections;
+  for (std::size_t i = 0; i < 40; ++i) {
+    sections.emplace_back(3000 + 37 * i, static_cast<std::uint8_t>(i));
+  }
+  sections.emplace_back(200000, std::uint8_t{0x5A});
+  sections.emplace_back();
+  sections.emplace_back(5000, std::uint8_t{0xC3});
+  const std::string path = temp_path("sect_batched.snap");
+  {
+    SectionFileWriter w(path, 0xBEEF, sections.size());
+    for (const std::vector<std::uint8_t>& s : sections) w.append(s);
+    w.commit();
+  }
+  SnapshotWriter expected;
+  for (char c : std::string("BAATSECT")) expected.write_u8(static_cast<std::uint8_t>(c));
+  expected.write_u32(kSectionFormatVersion);
+  expected.write_u64(0xBEEF);
+  expected.write_u64(sections.size());
+  std::vector<std::uint8_t> want = expected.bytes();
+  for (const std::vector<std::uint8_t>& s : sections) {
+    SnapshotWriter prefix;
+    prefix.write_u64(s.size());
+    prefix.write_u32(crc32(s));
+    want.insert(want.end(), prefix.bytes().begin(), prefix.bytes().end());
+    want.insert(want.end(), s.begin(), s.end());
+  }
+  EXPECT_EQ(file_bytes(path), want);
+  SectionFileReader r(path, 0xBEEF);
+  for (const std::vector<std::uint8_t>& s : sections) EXPECT_EQ(r.read_section(), s);
   r.finish();
   fs::remove(path);
 }

@@ -11,10 +11,11 @@ must stay under its budget, the --math=simd tier must beat the
 (the vectorization guarantee DESIGN.md §5f advertises), and the
 --chemistry bucket tier must beat the lead-acid exact kernel by at least
 --bucket-speedup-min at the same bank size (DESIGN.md §5i). Datacenter
-rows (names starting "dc_") carry two more bounds: the sectioned
+rows (names starting "dc_") carry three more bounds: the sectioned
 checkpoint must stay under CHECKPOINT_BYTES_PER_NODE_MAX bytes per node,
-and allocs/node-tick may not creep past ALLOC_CREEP_FACTOR x baseline +
-ALLOC_CREEP_SLACK.
+allocs/node-tick may not creep past ALLOC_CREEP_FACTOR x baseline +
+ALLOC_CREEP_SLACK, and the machine-normalized checkpoint save and resume
+cost per byte may not exceed CHECKPOINT_NS_FACTOR x baseline.
 
 Machines differ, so raw nanoseconds are not comparable across hosts: both
 files carry a `calibration_ns` scalar (a fixed dependent-FMA loop timed on
@@ -52,11 +53,24 @@ CHECKPOINT_BYTES_PER_NODE_MAX = 2048.0
 # allocation per few hundred node-ticks.
 ALLOC_CREEP_FACTOR = 1.25
 ALLOC_CREEP_SLACK = 0.005
+# Checkpoint save and resume run at memory speed, but file I/O sits inside
+# the timing, so the bound is looser than the 15% ns/node-tick rule.
+CHECKPOINT_NS_FACTOR = 1.5
+CHECKPOINT_NS_KEYS = ("checkpoint_ns_per_byte", "resume_ns_per_byte")
+
+
+class Refusal(SystemExit):
+    """A readable refusal of malformed input: exit code 2, with the diagnosis
+    kept for the caller to print (1 is reserved for a perf regression)."""
+
+    def __init__(self, msg):
+        super().__init__(2)
+        self.msg = msg
 
 
 def fail(msg):
     """Readable gate failure: diagnosis on stderr, exit 2 (1 = perf regression)."""
-    sys.exit(f"perf_gate: {msg}")
+    raise Refusal(f"perf_gate: {msg}")
 
 
 def numeric(doc_path, key, value):
@@ -278,6 +292,30 @@ def alloc_creep(base, cur, factor, slack):
     return lines, failures
 
 
+def checkpoint_speed(base, cur, factor):
+    """Every datacenter row shared with the baseline must keep its
+    calibration-normalized checkpoint and resume ns per byte within
+    factor x baseline. A row without either field is refused readably."""
+    base_by_name = {b["name"]: b for b in base["benches"]}
+    lines, failures = [], []
+    for c in cur["benches"]:
+        name = c["name"]
+        if not name.startswith(DC_PREFIX) or name not in base_by_name:
+            continue
+        for key in CHECKPOINT_NS_KEYS:
+            was = field("baseline", base_by_name[name], key)
+            now = field("current run", c, key)
+            if was <= 0:
+                fail(f"baseline: bench '{name}' has non-positive '{key}' ({was!r})")
+            ratio = (now / cur["calibration_ns"]) / (was / base["calibration_ns"])
+            lines.append(f"{name:16s} {key} {now:.3f} (baseline {was:.3f}, "
+                         f"normalized ratio {ratio:.2f}x, max {factor:.2f}x)")
+            if ratio > factor:
+                failures.append(f"{name}: normalized {key} {ratio:.2f}x baseline "
+                                f"(limit {factor:.2f}x)")
+    return lines, failures
+
+
 def self_test():
     """Exercise the malformed-input paths in-process; exits non-zero on bugs."""
     import copy
@@ -293,7 +331,7 @@ def self_test():
             fn()
         except SystemExit as e:
             # Any traceback-free refusal is a pass; argparse-style int codes ok.
-            msg = str(e.code)
+            msg = getattr(e, "msg", str(e.code))
             assert "Traceback" not in msg, label
             return msg
         raise AssertionError(f"{label}: expected a readable gate failure, got none")
@@ -448,6 +486,42 @@ def self_test():
                       lambda: alloc_creep(ckpt, no_allocs, 1.25, 0.005))
     assert "allocs_per_tick" in msg, msg
 
+    # 5f. the checkpoint-speed rule: within factor x baseline passes, past
+    # it fails (after calibration), and a row without the field is a
+    # readable refusal
+    timed = copy.deepcopy(ckpt)
+    timed["benches"][0]["checkpoint_ns_per_byte"] = 2.0
+    timed["benches"][0]["resume_ns_per_byte"] = 3.0
+    ok = copy.deepcopy(timed)
+    ok["benches"][0]["resume_ns_per_byte"] = 4.4
+    _, failures = checkpoint_speed(timed, ok, 1.5)
+    assert not failures, failures
+    slow_resume = copy.deepcopy(timed)
+    slow_resume["benches"][0]["resume_ns_per_byte"] = 4.6
+    _, failures = checkpoint_speed(timed, slow_resume, 1.5)
+    assert any("resume_ns_per_byte" in f for f in failures), failures
+    # A host twice as slow (calibration 4.0) may take twice the time.
+    slow_host = copy.deepcopy(timed)
+    slow_host["calibration_ns"] = 4.0
+    slow_host["benches"][0]["checkpoint_ns_per_byte"] = 5.0
+    _, failures = checkpoint_speed(timed, slow_host, 1.5)
+    assert not failures, failures
+    slow_save = copy.deepcopy(timed)
+    slow_save["benches"][0]["checkpoint_ns_per_byte"] = 3.2
+    _, failures = checkpoint_speed(timed, slow_save, 1.5)
+    assert any("checkpoint_ns_per_byte" in f for f in failures), failures
+    _, failures = checkpoint_speed(good, good, 1.5)  # no datacenter rows
+    assert not failures, failures
+    untimed = copy.deepcopy(timed)
+    del untimed["benches"][0]["resume_ns_per_byte"]
+    msg = expect_exit("missing resume field",
+                      lambda: checkpoint_speed(timed, untimed, 1.5))
+    assert "resume_ns_per_byte" in msg, msg
+    try:
+        checkpoint_speed(timed, untimed, 1.5)
+    except SystemExit as e:
+        assert e.code == 2, f"a missing field must exit 2, not {e.code!r}"
+
     # 6. the happy path still gates
     slow = copy.deepcopy(good)
     slow["benches"][0]["ns_per_cell_tick"] = 100.0
@@ -530,6 +604,9 @@ def main():
                                               ALLOC_CREEP_SLACK)
     lines += creep_lines
     failures += creep_failures
+    speed_lines, speed_failures = checkpoint_speed(base, cur, CHECKPOINT_NS_FACTOR)
+    lines += speed_lines
+    failures += speed_failures
     for line in lines:
         print(line)
 
@@ -546,4 +623,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except Refusal as e:
+        print(e.msg, file=sys.stderr)
+        sys.exit(2)
